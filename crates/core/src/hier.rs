@@ -116,22 +116,309 @@ impl TrigramSet {
 /// `ceil(chars / 6)` tokens — the same rule as the llm crate's
 /// tokenizer, inlined here for prompt-cost accounting.
 pub fn approx_token_count(text: &str) -> usize {
-    let mut tokens = 0usize;
-    for word in text.split_whitespace() {
-        let mut rest = word;
-        while !rest.is_empty() {
-            let is_alnum = rest.chars().next().map(|c| c.is_alphanumeric()).unwrap_or(false);
-            let run_end = rest
-                .char_indices()
-                .find(|(_, c)| c.is_alphanumeric() != is_alnum)
-                .map(|(i, _)| i)
-                .unwrap_or(rest.len());
-            let (run, tail) = rest.split_at(run_end);
-            tokens += run.chars().count().div_ceil(6);
-            rest = tail;
+    let mut counter = TokenCounter::default();
+    counter.push_str(text);
+    counter.finish()
+}
+
+/// Streaming form of [`approx_token_count`]: the count of the
+/// concatenation of every pushed piece, so a long text never has to be
+/// materialized.
+#[derive(Debug, Default)]
+struct TokenCounter {
+    tokens: usize,
+    run_chars: usize,
+    run_alnum: bool,
+}
+
+impl TokenCounter {
+    fn push_str(&mut self, text: &str) {
+        for c in text.chars() {
+            if c.is_whitespace() {
+                self.end_run();
+                continue;
+            }
+            let alnum = c.is_alphanumeric();
+            if self.run_chars > 0 && alnum != self.run_alnum {
+                self.end_run();
+            }
+            self.run_alnum = alnum;
+            self.run_chars += 1;
         }
     }
-    tokens
+
+    fn end_run(&mut self) {
+        self.tokens += self.run_chars.div_ceil(6);
+        self.run_chars = 0;
+    }
+
+    fn finish(mut self) -> usize {
+        self.end_run();
+        self.tokens
+    }
+}
+
+// ---------------------------------------------------------------------
+// Exact top-k shortlist
+// ---------------------------------------------------------------------
+
+/// The byte trigrams of `name`, ASCII-lowercased and packed into the
+/// low 24 bits of a `u32` — the grams [`TrigramSet`] stores as
+/// `[u8; 3]`, in window order with repeats.
+fn grams(name: &str) -> impl Iterator<Item = u32> + '_ {
+    let mut gram = 0u32;
+    name.bytes().enumerate().filter_map(move |(i, b)| {
+        gram = (gram << 8 | u32::from(b.to_ascii_lowercase())) & 0xFF_FFFF;
+        (i >= 2).then_some(gram)
+    })
+}
+
+/// Packed grams use 24 bits, so this never collides with a real key.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// Deterministic open-addressing map from packed gram to vocabulary
+/// ordinal (Fibonacci hashing, linear probing, grown at half load).
+/// Ordinals are assigned in first-insertion order.
+#[derive(Debug)]
+struct GramTable {
+    slots: Vec<(u32, u32)>,
+    len: usize,
+    shift: u32,
+}
+
+impl GramTable {
+    fn with_bits(bits: u32) -> Self {
+        GramTable { slots: vec![(EMPTY_SLOT, 0); 1 << bits], len: 0, shift: 64 - bits }
+    }
+
+    fn home(&self, gram: u32) -> usize {
+        (u64::from(gram).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    fn get(&self, gram: u32) -> Option<u32> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(gram);
+        loop {
+            match self.slots[i] {
+                (key, id) if key == gram => return Some(id),
+                (EMPTY_SLOT, _) => return None,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The ordinal of `gram`, assigning the next free one if it is new.
+    fn insert(&mut self, gram: u32) -> u32 {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let bits = 65 - self.shift;
+            let old = std::mem::replace(self, GramTable::with_bits(bits));
+            for (key, id) in old.slots {
+                if key != EMPTY_SLOT {
+                    let slot = self.vacant_slot(key);
+                    self.slots[slot] = (key, id);
+                }
+            }
+            self.len = old.len;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(gram);
+        loop {
+            match self.slots[i] {
+                (key, id) if key == gram => return id,
+                (EMPTY_SLOT, _) => {
+                    let id = self.len as u32;
+                    self.slots[i] = (gram, id);
+                    self.len += 1;
+                    return id;
+                }
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn vacant_slot(&self, gram: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(gram);
+        while self.slots[i].0 != EMPTY_SLOT {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+}
+
+/// Per-worker scratch for [`ShortlistIndex::top_k`]: intersection
+/// counters (all zero between queries) and the probe's grams. Reusing
+/// one per worker keeps queries allocation-free after warm-up.
+#[derive(Debug, Default)]
+pub struct ShortlistScratch {
+    counts: Vec<u32>,
+    touched: Vec<u32>,
+    probe: Vec<u32>,
+}
+
+/// An inverted trigram index over a fixed node set that returns exactly
+/// the `k` nodes most similar to a probe name under [`TrigramSet::jaccard`],
+/// ordered by `(similarity desc, name, node id)` — the same list as
+/// scoring every node and sorting, without doing either.
+///
+/// Only nodes sharing a trigram with the probe can score above zero, so
+/// a query walks the probe's postings to count intersections, scores
+/// just those nodes with the same integer formula as `jaccard` (so every
+/// `f64` is bit-identical), and keeps the best `k` by bounded insertion.
+/// When fewer than `k` nodes share a trigram, the rest of the list is
+/// zero-score nodes in `(name, id)` order; probes under three bytes use
+/// `jaccard`'s case-insensitive-equality fallback.
+#[derive(Debug)]
+pub struct ShortlistIndex<'t> {
+    t: &'t Taxonomy,
+    nodes: Vec<NodeId>,
+    /// Distinct-gram count per node ordinal.
+    sizes: Vec<u32>,
+    vocab: GramTable,
+    /// Postings of vocabulary ordinal `v`: `postings[offsets[v]..offsets[v + 1]]`,
+    /// node ordinals ascending.
+    offsets: Vec<u32>,
+    postings: Vec<u32>,
+}
+
+impl<'t> ShortlistIndex<'t> {
+    /// Index `nodes` of `t` by their names' trigrams.
+    pub fn new(t: &'t Taxonomy, nodes: Vec<NodeId>) -> Self {
+        // Two passes over the names: count each gram's distinct holders,
+        // then counting-sort node ordinals into the postings.
+        let mut vocab = GramTable::with_bits(10);
+        let mut counts: Vec<u32> = Vec::new();
+        // `last[v]` is one past the last ordinal whose name held gram `v`
+        // in the current pass, which dedups a name's grams without
+        // sorting them.
+        let mut last: Vec<u32> = Vec::new();
+        let mut sizes = Vec::with_capacity(nodes.len());
+        for (ordinal, &node) in nodes.iter().enumerate() {
+            let mark = ordinal as u32 + 1;
+            let mut size = 0;
+            for gram in grams(t.name(node)) {
+                let v = vocab.insert(gram);
+                if v as usize == counts.len() {
+                    counts.push(0);
+                    last.push(0);
+                }
+                if last[v as usize] != mark {
+                    last[v as usize] = mark;
+                    counts[v as usize] += 1;
+                    size += 1;
+                }
+            }
+            sizes.push(size);
+        }
+        let mut offsets = Vec::with_capacity(counts.len() + 1);
+        offsets.push(0u32);
+        for &count in &counts {
+            offsets.push(offsets[offsets.len() - 1] + count);
+        }
+        let mut cursor = counts;
+        cursor.copy_from_slice(&offsets[..vocab.len]);
+        let mut postings = vec![0u32; offsets[vocab.len] as usize];
+        last.fill(0);
+        for (ordinal, &node) in nodes.iter().enumerate() {
+            let mark = ordinal as u32 + 1;
+            for gram in grams(t.name(node)) {
+                let v = vocab.get(gram).expect("the first pass saw every gram") as usize;
+                if last[v] != mark {
+                    last[v] = mark;
+                    postings[cursor[v] as usize] = ordinal as u32;
+                    cursor[v] += 1;
+                }
+            }
+        }
+        ShortlistIndex { t, nodes, sizes, vocab, offsets, postings }
+    }
+
+    /// The `k` indexed nodes most similar to `name` (all of them when
+    /// `k` exceeds the node count), most similar first.
+    pub fn top_k(&self, name: &str, k: usize, scratch: &mut ShortlistScratch) -> Vec<NodeId> {
+        let t = self.t;
+        let mut top = TopK { t, k, items: Vec::with_capacity(k.min(self.nodes.len()) + 1) };
+        let probe = &mut scratch.probe;
+        probe.clear();
+        probe.extend(grams(name));
+        probe.sort_unstable();
+        probe.dedup();
+        if probe.is_empty() {
+            for &node in &self.nodes {
+                let sim = if t.name(node).eq_ignore_ascii_case(name) { 1.0 } else { 0.0 };
+                top.offer(sim, node);
+            }
+            return top.into_nodes();
+        }
+
+        let counts = &mut scratch.counts;
+        if counts.len() < self.nodes.len() {
+            counts.resize(self.nodes.len(), 0);
+        }
+        let touched = &mut scratch.touched;
+        touched.clear();
+        for &gram in probe.iter() {
+            let Some(v) = self.vocab.get(gram) else { continue };
+            let span = self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize;
+            for &ordinal in &self.postings[span] {
+                let count = &mut counts[ordinal as usize];
+                if *count == 0 {
+                    touched.push(ordinal);
+                }
+                *count += 1;
+            }
+        }
+        let probe_len = probe.len();
+        for &ordinal in touched.iter() {
+            let inter = counts[ordinal as usize] as usize;
+            let union = probe_len + self.sizes[ordinal as usize] as usize - inter;
+            top.offer(inter as f64 / union as f64, self.nodes[ordinal as usize]);
+        }
+        if top.items.len() < k {
+            // Every node sharing no trigram scores exactly 0.
+            for (ordinal, &node) in self.nodes.iter().enumerate() {
+                if counts[ordinal] == 0 {
+                    top.offer(0.0, node);
+                }
+            }
+        }
+        for &ordinal in touched.iter() {
+            counts[ordinal as usize] = 0;
+        }
+        top.into_nodes()
+    }
+}
+
+/// The best `k` of the offered `(similarity, node)` pairs under the
+/// total order `(similarity desc, name, node id)`.
+struct TopK<'t> {
+    t: &'t Taxonomy,
+    k: usize,
+    items: Vec<(f64, NodeId)>,
+}
+
+impl TopK<'_> {
+    fn ranks_before(&self, a: (f64, NodeId), b: (f64, NodeId)) -> bool {
+        b.0.total_cmp(&a.0)
+            .then_with(|| self.t.name(a.1).cmp(self.t.name(b.1)))
+            .then_with(|| a.1.raw().cmp(&b.1.raw()))
+            .is_lt()
+    }
+
+    fn offer(&mut self, sim: f64, node: NodeId) {
+        if self.items.len() == self.k && self.items.last().is_some_and(|worst| sim < worst.0) {
+            return;
+        }
+        let pos = self.items.partition_point(|&item| self.ranks_before(item, (sim, node)));
+        if pos < self.k {
+            self.items.insert(pos, (sim, node));
+            self.items.truncate(self.k);
+        }
+    }
+
+    fn into_nodes(self) -> Vec<NodeId> {
+        self.items.into_iter().map(|(_, n)| n).collect()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -524,21 +811,33 @@ impl HierWorkload {
     /// and return the `top_k` candidates, most similar first, ties
     /// broken by region name then id so the ranking is total.
     pub fn route(&self, t: &Taxonomy, name: &str) -> Vec<NodeId> {
-        let level = self.router.level.min(t.num_levels().saturating_sub(1));
-        let probe = TrigramSet::new(name);
-        let mut scored: Vec<(f64, NodeId)> = t
-            .nodes_at_level(level)
-            .iter()
-            .map(|&n| (probe.jaccard(&TrigramSet::new(t.name(n))), n))
-            .collect();
-        scored.sort_by(|a, b| {
-            b.0.total_cmp(&a.0)
-                .then_with(|| t.name(a.1).cmp(t.name(b.1)))
-                .then_with(|| a.1.raw().cmp(&b.1.raw()))
-        });
-        scored.truncate(self.router.top_k);
-        scored.into_iter().map(|(_, n)| n).collect()
+        self.regions(t).top_k(name, self.router.top_k, &mut ShortlistScratch::default())
     }
+
+    /// The router level after clamping to the taxonomy's depth.
+    fn router_level(&self, t: &Taxonomy) -> usize {
+        self.router.level.min(t.num_levels().saturating_sub(1))
+    }
+
+    /// The router's candidate regions, indexed for [`HierWorkload::route`].
+    fn regions<'t>(&self, t: &'t Taxonomy) -> ShortlistIndex<'t> {
+        ShortlistIndex::new(t, t.nodes_at_level(self.router_level(t)).to_vec())
+    }
+}
+
+/// Token cost of the instruction + comma-separated leaf listing the
+/// whole-taxonomy-in-prompt alternative pays before the instance name is
+/// even added, counted without building the listing.
+fn whole_taxonomy_base_tokens(t: &Taxonomy) -> usize {
+    let mut listing = TokenCounter::default();
+    for (i, leaf) in t.ids().filter(|&id| t.is_leaf(id)).enumerate() {
+        if i > 0 {
+            listing.push_str(", ");
+        }
+        listing.push_str(t.name(leaf));
+    }
+    approx_token_count("Classify the instance into exactly one of the following categories:")
+        + listing.finish()
 }
 
 /// Deterministic question id: a hash of `(tag, instance, node, window)`
@@ -598,22 +897,19 @@ struct RunState<'r> {
     t: &'r Taxonomy,
     kind: TaxonomyKind,
     config: EvalConfig,
-    /// Lowercased names of every taxonomy node, sorted, for the flat
-    /// baseline's validity check.
-    valid_names: Vec<String>,
-    /// Leaf ids paired with trigram sets, for the flat shortlist.
-    leaf_sims: Vec<(NodeId, TrigramSet)>,
-    /// Token cost of the instruction + full leaf listing the
-    /// whole-taxonomy-in-prompt alternative pays before the instance
-    /// name is even added.
-    whole_taxonomy_base_tokens: usize,
+    /// The router's candidate regions.
+    regions: ShortlistIndex<'r>,
+    /// Every leaf, for the flat baseline's shortlist.
+    leaves: ShortlistIndex<'r>,
 }
 
 impl HierWorkload {
     /// Classify one instance by router + constrained descent.
+    #[allow(clippy::too_many_arguments)]
     fn classify(
         &self,
         state: &RunState<'_>,
+        scratch: &mut ShortlistScratch,
         session: &mut ResilienceSession,
         model: &dyn LanguageModel,
         instance_idx: usize,
@@ -621,7 +917,7 @@ impl HierWorkload {
         result: &mut InstanceResult,
     ) -> HierOutcome {
         let t = state.t;
-        for candidate in self.route(t, &instance.name) {
+        for candidate in state.regions.top_k(&instance.name, self.router.top_k, scratch) {
             let mut node = candidate;
             'descend: loop {
                 if t.is_leaf(node) {
@@ -687,9 +983,11 @@ impl HierWorkload {
     /// re-emitted as free text through a deterministic corruption
     /// channel (free-form generation does not copy labels verbatim) and
     /// checked against the taxonomy's real names.
+    #[allow(clippy::too_many_arguments)]
     fn flat_baseline(
         &self,
         state: &RunState<'_>,
+        scratch: &mut ShortlistScratch,
         session: &mut ResilienceSession,
         model: &dyn LanguageModel,
         instance_idx: usize,
@@ -697,19 +995,7 @@ impl HierWorkload {
         result: &mut InstanceResult,
     ) -> FlatOutcome {
         let t = state.t;
-        let probe = TrigramSet::new(&instance.name);
-        let mut scored: Vec<(f64, NodeId)> = state
-            .leaf_sims
-            .iter()
-            .map(|(leaf, set)| (probe.jaccard(set), *leaf))
-            .collect();
-        scored.sort_by(|a, b| {
-            b.0.total_cmp(&a.0)
-                .then_with(|| t.name(a.1).cmp(t.name(b.1)))
-                .then_with(|| a.1.raw().cmp(&b.1.raw()))
-        });
-        scored.truncate(self.descent.max_options);
-        let shortlist: Vec<NodeId> = scored.into_iter().map(|(_, n)| n).collect();
+        let shortlist = state.leaves.top_k(&instance.name, self.descent.max_options, scratch);
 
         let options: Vec<String> = shortlist.iter().map(|&l| t.name(l).to_owned()).collect();
         let correct = shortlist.iter().position(|&l| l == instance.gold).map(|i| i as u8);
@@ -761,15 +1047,12 @@ impl HierWorkload {
             format!("{head} {}", options[chosen])
         };
 
-        let emitted_lower: String = emitted.chars().map(|c| c.to_ascii_lowercase()).collect();
-        if state.valid_names.binary_search(&emitted_lower).is_err() {
-            FlatOutcome::Invalid
-        } else if emitted_lower
-            == t.name(instance.gold).chars().map(|c| c.to_ascii_lowercase()).collect::<String>()
-        {
+        if emitted.eq_ignore_ascii_case(t.name(instance.gold)) {
             FlatOutcome::Correct
-        } else {
+        } else if t.ids().any(|id| t.name(id).eq_ignore_ascii_case(&emitted)) {
             FlatOutcome::WrongValid
+        } else {
+            FlatOutcome::Invalid
         }
     }
 
@@ -779,6 +1062,7 @@ impl HierWorkload {
     fn process_instance(
         &self,
         state: &RunState<'_>,
+        scratch: &mut ShortlistScratch,
         runner: &WorkloadRunner,
         model: &dyn LanguageModel,
         instance_idx: usize,
@@ -792,11 +1076,68 @@ impl HierWorkload {
             flat_tokens: 0,
         };
         let mut session = ResilienceSession::new(runner.resilience());
-        result.outcome =
-            self.classify(state, &mut session, model, instance_idx, instance, &mut result);
-        result.flat =
-            self.flat_baseline(state, &mut session, model, instance_idx, instance, &mut result);
+        result.outcome = self.classify(
+            state, scratch, &mut session, model, instance_idx, instance, &mut result,
+        );
+        result.flat = self.flat_baseline(
+            state, scratch, &mut session, model, instance_idx, instance, &mut result,
+        );
         result
+    }
+
+    /// Process every instance on up to `threads` workers and return the
+    /// results in instance order.
+    fn process_all(
+        &self,
+        state: &RunState<'_>,
+        runner: &WorkloadRunner,
+        model: &dyn LanguageModel,
+        data: &HierDataset,
+        threads: usize,
+    ) -> Vec<InstanceResult> {
+        let next = AtomicUsize::new(0);
+        let results: Mutex<Vec<Option<InstanceResult>>> =
+            Mutex::new(vec![None; data.instances.len()]);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads.min(data.instances.len().max(1)))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut scratch = ShortlistScratch::default();
+                        loop {
+                            // Same discipline as the grid runner: the counter
+                            // hands out distinct indices, results merge in
+                            // index order after the workers are joined.
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= data.instances.len() {
+                                break;
+                            }
+                            let r = self.process_instance(
+                                state,
+                                &mut scratch,
+                                runner,
+                                model,
+                                i,
+                                &data.instances[i],
+                            );
+                            results
+                                .lock()
+                                .expect("hier result lock poisoned by a worker panic")[i] = Some(r);
+                        }
+                    })
+                })
+                .collect();
+            // Joined here rather than by the scope, so every worker has
+            // fully exited (and released its allocator arena) on return.
+            for worker in workers {
+                worker.join().expect("hier worker panicked");
+            }
+        });
+        results
+            .into_inner()
+            .expect("hier result lock poisoned by a worker panic")
+            .into_iter()
+            .map(|slot| slot.expect("every claimed instance stores a result before the join"))
+            .collect()
     }
 }
 
@@ -868,67 +1209,37 @@ impl Workload for HierWorkload {
         data: &HierDataset,
     ) -> HierReport {
         let t = cx.taxonomy;
-        let mut valid_names: Vec<String> = t
-            .ids()
-            .map(|id| t.name(id).chars().map(|c| c.to_ascii_lowercase()).collect())
-            .collect();
-        valid_names.sort_unstable();
-        valid_names.dedup();
-        let leaf_sims: Vec<(NodeId, TrigramSet)> = t
-            .leaves()
-            .into_iter()
-            .map(|l| (l, TrigramSet::new(t.name(l))))
-            .collect();
-        let whole_taxonomy_base_tokens = {
-            let listing: String = leaf_sims
-                .iter()
-                .map(|(l, _)| t.name(*l))
-                .collect::<Vec<_>>()
-                .join(", ");
-            approx_token_count(
-                "Classify the instance into exactly one of the following categories:",
-            ) + approx_token_count(&listing)
-        };
-        let state = RunState {
-            t,
-            kind: cx.kind,
-            config: runner.config(),
-            valid_names,
-            leaf_sims,
-            whole_taxonomy_base_tokens,
-        };
-
         model.reset();
         let threads = runner.threads().unwrap_or_else(|| {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
         });
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<InstanceResult>>> =
-            Mutex::new(vec![None; data.instances.len()]);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(data.instances.len().max(1)) {
-                scope.spawn(|| loop {
-                    // Same discipline as the grid runner: the counter
-                    // hands out distinct indices, results merge in
-                    // index order after the scope joins.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= data.instances.len() {
-                        break;
-                    }
-                    let r =
-                        self.process_instance(&state, runner, model, i, &data.instances[i]);
-                    results.lock().expect("hier result lock poisoned by a worker panic")[i] =
-                        Some(r);
-                });
-            }
+        // The shortlist indexes are built, queried and dropped on one
+        // descent thread that also hosts the workers, while this thread
+        // counts the whole-taxonomy listing. Under glibc's malloc their
+        // buffers come from the descent thread's arena, not the caller's
+        // heap, and no worker shares that arena while they live. Every
+        // thread is joined explicitly, so the descent thread releases its
+        // arena last, and glibc hands it back to the next run's descent
+        // thread, the first thread that run starts. The index memory is
+        // reused run after run, not spread over whichever arenas the
+        // workers happened to leave free (DESIGN.md §13).
+        let (results, whole_taxonomy_base_tokens) = std::thread::scope(|scope| {
+            let descent = scope.spawn(|| {
+                let state = RunState {
+                    t,
+                    kind: cx.kind,
+                    config: runner.config(),
+                    regions: self.regions(t),
+                    leaves: ShortlistIndex::new(t, t.leaves()),
+                };
+                self.process_all(&state, runner, model, data, threads)
+            });
+            let tokens = whole_taxonomy_base_tokens(t);
+            (descent.join().expect("hier descent thread panicked"), tokens)
         });
 
-        let merged = results
-            .into_inner()
-            .expect("hier result lock poisoned by a worker panic");
         let mut metrics = HierMetrics::default();
-        for (instance, slot) in data.instances.iter().zip(merged) {
-            let r = slot.expect("every claimed instance stores a result before scope join");
+        for (instance, r) in data.instances.iter().zip(results) {
             metrics.instances += 1;
             if instance.ambiguous {
                 metrics.ambiguous += 1;
@@ -960,13 +1271,13 @@ impl Workload for HierWorkload {
             }
             metrics.flat_prompt_tokens += r.flat_tokens;
             metrics.whole_taxonomy_prompt_tokens +=
-                state.whole_taxonomy_base_tokens + approx_token_count(&instance.name);
+                whole_taxonomy_base_tokens + approx_token_count(&instance.name);
         }
 
         HierReport {
             model: model.name().to_owned(),
             taxonomy: cx.kind,
-            router_level: self.router.level.min(t.num_levels().saturating_sub(1)),
+            router_level: self.router_level(t),
             router_top_k: self.router.top_k,
             descent_max_options: self.descent.max_options,
             metrics,
@@ -1020,6 +1331,44 @@ mod tests {
         assert_eq!(approx_token_count("cat, dog"), 3); // "cat" "," "dog"
         assert_eq!(approx_token_count("extraordinarily"), 3); // 15 chars / 6
         assert_eq!(approx_token_count("  "), 0);
+    }
+
+    #[test]
+    fn token_counter_is_chunking_invariant() {
+        let text = "Wireless Speakers, Books. naïve—tæxon  (level 7 -> 6), x";
+        for split in 0..=text.len() {
+            if !text.is_char_boundary(split) {
+                continue;
+            }
+            let mut counter = TokenCounter::default();
+            counter.push_str(&text[..split]);
+            counter.push_str(&text[split..]);
+            assert_eq!(counter.finish(), approx_token_count(text), "split at {split}");
+        }
+    }
+
+    #[test]
+    fn whole_taxonomy_tokens_count_the_joined_listing() {
+        let t = generate(TaxonomyKind::Icd10Cm, GenOptions { seed: 3, scale: 0.05 }).unwrap();
+        let listing: Vec<&str> = t.leaves().into_iter().map(|l| t.name(l)).collect();
+        assert_eq!(
+            whole_taxonomy_base_tokens(&t),
+            approx_token_count(
+                "Classify the instance into exactly one of the following categories:"
+            ) + approx_token_count(&listing.join(", "))
+        );
+    }
+
+    #[test]
+    fn gram_table_assigns_dense_ordinals_across_growth() {
+        let mut table = GramTable::with_bits(1);
+        for gram in 0..5000u32 {
+            assert_eq!(table.insert(gram * 7919 % (1 << 24)), gram);
+        }
+        for gram in 0..5000u32 {
+            assert_eq!(table.get(gram * 7919 % (1 << 24)), Some(gram));
+        }
+        assert_eq!(table.get(1 << 24), None);
     }
 
     #[test]

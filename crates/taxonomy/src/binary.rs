@@ -41,6 +41,7 @@ use crate::arena::{Taxonomy, NO_PARENT};
 use crate::builder::{BuildError, TaxonomyBuilder};
 use crate::node::NodeId;
 use std::fmt;
+use std::io;
 
 pub(crate) const MAGIC: &[u8; 4] = b"TAXG";
 const VERSION_V1: u16 = 1;
@@ -84,6 +85,22 @@ impl fmt::Display for BinaryError {
 
 impl std::error::Error for BinaryError {}
 
+/// Write `values` as little-endian `u32`s through an 8 KiB staging
+/// buffer.
+fn write_u32s(w: &mut impl io::Write, values: impl Iterator<Item = u32>) -> io::Result<()> {
+    let mut buf = [0u8; 8192];
+    let mut len = 0;
+    for v in values {
+        buf[len..len + 4].copy_from_slice(&v.to_le_bytes());
+        len += 4;
+        if len == buf.len() {
+            w.write_all(&buf)?;
+            len = 0;
+        }
+    }
+    w.write_all(&buf[..len])
+}
+
 impl Taxonomy {
     /// Encode into the TAXG binary format (current version).
     pub fn to_binary(&self) -> Vec<u8> {
@@ -91,23 +108,26 @@ impl Taxonomy {
         let mut buf = Vec::with_capacity(
             4 + 2 + 4 + self.label().len() + 8 + n * 4 + 8 + (n + 1) * 4 + self.name_bytes(),
         );
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION_V2.to_le_bytes());
-        buf.extend_from_slice(&(self.label().len() as u32).to_le_bytes());
-        buf.extend_from_slice(self.label().as_bytes());
-        buf.extend_from_slice(&(n as u64).to_le_bytes());
-        for &p in &self.parent {
-            buf.extend_from_slice(&p.to_le_bytes());
-        }
-        buf.extend_from_slice(&(self.name_buf.len() as u64).to_le_bytes());
+        self.write_v2(&mut buf).expect("writing into a Vec<u8> cannot fail");
+        buf
+    }
+
+    /// Stream the current-version encoding into `w`: exactly the bytes
+    /// of [`Taxonomy::to_binary`], without a copy of them in memory.
+    /// The column tables go out in 8 KiB slices, so even an unbuffered
+    /// sink sees a few large writes rather than one per node.
+    pub fn write_v2(&self, w: &mut impl io::Write) -> io::Result<()> {
+        w.write_all(MAGIC)?;
+        w.write_all(&VERSION_V2.to_le_bytes())?;
+        w.write_all(&(self.label().len() as u32).to_le_bytes())?;
+        w.write_all(self.label().as_bytes())?;
+        w.write_all(&(self.len() as u64).to_le_bytes())?;
+        write_u32s(w, self.parent.iter().copied())?;
+        w.write_all(&(self.name_buf.len() as u64).to_le_bytes())?;
         // Spans are contiguous by construction (each name starts where
         // the previous one ends), so n + 1 offsets describe all of them.
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        for &(_, end) in &self.name_spans {
-            buf.extend_from_slice(&end.to_le_bytes());
-        }
-        buf.extend_from_slice(self.name_buf.as_bytes());
-        buf
+        write_u32s(w, std::iter::once(0).chain(self.name_spans.iter().map(|&(_, end)| end)))?;
+        w.write_all(self.name_buf.as_bytes())
     }
 
     /// Encode into the legacy v1 TAXG format (per-name length prefixes).

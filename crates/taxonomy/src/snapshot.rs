@@ -27,12 +27,14 @@
 //! ```
 //!
 //! Saves go through a temp file + rename so a crashed writer leaves
-//! either the old snapshot or none, never a half-written one.
+//! either the old snapshot or none, never a half-written one; a failed
+//! save removes its temp file. The payload is streamed from the
+//! taxonomy twice (checksum, then disk) and never copied into memory.
 
 use crate::arena::Taxonomy;
 use crate::binary::CODEC_VERSION;
 use std::fs;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"TXSP";
@@ -195,21 +197,21 @@ impl SnapshotStore {
     }
 
     /// Serialize `taxonomy` under `key`, atomically (temp file +
-    /// rename). Returns the final path.
+    /// rename). Returns the final path. The payload is streamed twice —
+    /// once through the checksum for the header, once to disk — and
+    /// never held in memory; on any error the temp file is removed.
     pub fn save(&self, key: &str, taxonomy: &Taxonomy) -> io::Result<PathBuf> {
         fs::create_dir_all(&self.dir)?;
-        let payload = taxonomy.to_binary();
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        let mut sum = ChecksumStream::new();
+        taxonomy.write_v2(&mut sum)?;
+        let payload_len = sum.total;
+        let payload_sum = sum.finish();
 
         let path = self.path_for(key);
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        fs::write(&tmp, &bytes)?;
-        match fs::rename(&tmp, &path) {
+        let written = write_envelope(&tmp, taxonomy, payload_sum, payload_len)
+            .and_then(|()| fs::rename(&tmp, &path));
+        match written {
             Ok(()) => Ok(path),
             Err(e) => {
                 let _ = fs::remove_file(&tmp);
@@ -236,6 +238,18 @@ impl SnapshotStore {
         }
         t
     }
+}
+
+/// Write the snapshot header and `taxonomy`'s payload to `path`.
+fn write_envelope(path: &Path, taxonomy: &Taxonomy, sum: u64, len: u64) -> io::Result<()> {
+    let mut out = io::BufWriter::new(fs::File::create(path)?);
+    out.write_all(MAGIC)?;
+    out.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
+    out.write_all(&sum.to_le_bytes())?;
+    out.write_all(&len.to_le_bytes())?;
+    taxonomy.write_v2(&mut out)?;
+    out.into_inner().map_err(io::IntoInnerError::into_error)?;
+    Ok(())
 }
 
 /// Append exactly `len` bytes from `file` to `out`, or fail. The
@@ -346,6 +360,19 @@ impl ChecksumStream {
     }
 }
 
+/// A checksum sink for streaming encoders such as
+/// [`Taxonomy::write_v2`]; writes never fail.
+impl io::Write for ChecksumStream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.update(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 /// Rolling checksum over `bytes`: four interleaved xor-multiply-rotate
 /// lanes (for instruction-level parallelism on the 50+ MB NCBI
 /// payload), folded together with the length at the end. Not
@@ -363,7 +390,9 @@ impl Taxonomy {
     /// taxonomies with equal digests are byte-identical on the wire,
     /// which is what the parallel-generation equivalence tests compare.
     pub fn content_digest(&self) -> u64 {
-        checksum(&self.to_binary())
+        let mut sum = ChecksumStream::new();
+        self.write_v2(&mut sum).expect("a checksum stream accepts every write");
+        sum.finish()
     }
 }
 

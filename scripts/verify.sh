@@ -220,4 +220,21 @@ cargo run --release --offline -q -p taxoglimpse-bench --bin bench_hier -- \
     --check "$SMOKE_OUT"
 rm -rf "$SMOKE_OUT" "$SMOKE_CACHE"
 
+# 11. End-to-end benchmark: the perfbench package's own tests (shim
+#     identity, check plumbing), then a short hier_descent run. A run
+#     prints `"correct": true` only if every pass reproduced the pinned
+#     seed-42 report digest and the constrained descent emitted zero
+#     invalid labels; the exact match below is the gate.
+echo "==> perfbench tests + hier_descent pinned-digest run"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+BENCH_OUT="$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload hier_descent --seed 42 --seconds 3 2>/dev/null | tail -n 1)" || true
+case "$BENCH_OUT" in
+    '{"correct": true,'*) ;;
+    *)
+        echo "error: hier_descent benchmark run failed its checks: $BENCH_OUT" >&2
+        exit 1
+        ;;
+esac
+
 echo "==> verify OK: hermetic tier-1 passed"

@@ -1,13 +1,17 @@
 //! Exhaustive tests of the TAXG binary codec against malformed input
-//! and across every synthetic taxonomy kind.
+//! and across every synthetic taxonomy kind, and of the snapshot
+//! envelope the codec is saved in.
 //!
 //! This lives at the workspace root (not in `taxoglimpse-taxonomy`)
 //! because the cross-kind round-trip needs the synth generators, which
 //! depend on the taxonomy crate.
 
 use taxoglimpse::prelude::*;
+use std::fs;
+use std::path::Path;
 use taxoglimpse::taxonomy::binary::BinaryError;
-use taxoglimpse::taxonomy::{validate, TaxonomyBuilder};
+use taxoglimpse::taxonomy::snapshot::checksum;
+use taxoglimpse::taxonomy::{validate, SnapshotStore, TaxonomyBuilder};
 
 fn sample() -> Taxonomy {
     let mut b = TaxonomyBuilder::new("codec-fixture");
@@ -154,4 +158,93 @@ fn owned_decode_handles_non_ascii_names() {
     assert_eq!(back.to_binary(), t.to_binary());
     let names: Vec<&str> = back.ids().map(|id| back.name(id)).collect();
     assert_eq!(names, ["Racine α", "Enfant β", "été"]);
+}
+
+/// Every kind plus the encoder's edge cases: an empty label with empty
+/// names, a single node, and non-ASCII names.
+fn codec_cases() -> Vec<Taxonomy> {
+    let mut cases: Vec<Taxonomy> = TaxonomyKind::ALL
+        .into_iter()
+        .map(|kind| generate(kind, GenOptions { seed: 13, scale: 0.02 }).unwrap())
+        .collect();
+    let mut b = TaxonomyBuilder::new("");
+    let r = b.add_root("");
+    b.add_child(r, "named");
+    b.add_child(r, "");
+    cases.push(b.build().unwrap());
+    let mut b = TaxonomyBuilder::new("solo");
+    b.add_root("only node");
+    cases.push(b.build().unwrap());
+    let mut b = TaxonomyBuilder::new("unicode ✓");
+    let r = b.add_root("Racine α");
+    b.add_child(r, "Enfant β");
+    b.add_child(r, "été");
+    cases.push(b.build().unwrap());
+    cases
+}
+
+fn temp_store(tag: &str) -> SnapshotStore {
+    let dir = std::env::temp_dir()
+        .join(format!("taxo-codec-test-{}-{tag}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    SnapshotStore::new(dir)
+}
+
+#[test]
+fn streaming_encoder_and_digest_match_the_buffered_encoding() {
+    for t in codec_cases() {
+        let bytes = t.to_binary();
+        let mut streamed = Vec::new();
+        t.write_v2(&mut streamed).unwrap();
+        assert_eq!(streamed, bytes, "{:?}: write_v2 differs from to_binary", t.label());
+        assert_eq!(t.content_digest(), checksum(&bytes), "{:?}: digest", t.label());
+    }
+}
+
+#[test]
+fn snapshot_save_writes_header_then_payload() {
+    let store = temp_store("bytes");
+    for (i, t) in codec_cases().iter().enumerate() {
+        let key = format!("case-{i}");
+        let path = store.save(&key, t).unwrap();
+        let payload = t.to_binary();
+        let mut expected = b"TXSP".to_vec();
+        expected.extend_from_slice(&1u16.to_le_bytes());
+        expected.extend_from_slice(&checksum(&payload).to_le_bytes());
+        expected.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        expected.extend_from_slice(&payload);
+        assert_eq!(fs::read(&path).unwrap(), expected, "{:?}: saved bytes", t.label());
+        assert_eq!(store.load(&key).unwrap().to_binary(), payload, "{:?}: reload", t.label());
+    }
+    let names: Vec<_> = fs::read_dir(store.dir())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert!(names.iter().all(|n| n.ends_with(".bin")), "stray files: {names:?}");
+    fs::remove_dir_all(store.dir()).unwrap();
+}
+
+/// A save whose writes fail partway (the temp path is a link to a
+/// device that is always full) reports the error, removes its temp file
+/// and leaves the previous snapshot in place.
+#[cfg(target_os = "linux")]
+#[test]
+fn failed_snapshot_save_leaves_no_temp_file() {
+    let full = Path::new("/dev/full");
+    if !full.exists() {
+        return;
+    }
+    let store = temp_store("full");
+    let key = "ebay";
+    let old = sample();
+    let path = store.save(key, &old).unwrap();
+    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    std::os::unix::fs::symlink(full, &tmp).unwrap();
+
+    let t = generate(TaxonomyKind::Ebay, GenOptions { seed: 13, scale: 1.0 }).unwrap();
+    assert!(store.save(key, &t).is_err(), "a write to a full device must fail");
+    assert!(fs::symlink_metadata(&tmp).is_err(), "temp file left behind");
+    assert_eq!(store.load(key).unwrap().to_binary(), old.to_binary());
+    assert_eq!(fs::read_dir(store.dir()).unwrap().count(), 1);
+    fs::remove_dir_all(store.dir()).unwrap();
 }

@@ -15,11 +15,16 @@
 //!    similarity and token-count approximations (core cannot depend on
 //!    the llm crate) compute exactly the same values as
 //!    `llm::knowledge::trigram_similarity` and `llm`'s tokenizer.
+//! 4. **Shortlist exactness** — the inverted-trigram shortlist the
+//!    router and the flat baseline use returns exactly the list that
+//!    scoring every node with `TrigramSet::jaccard` and sorting gives.
 
 use std::sync::Arc;
 
 use taxoglimpse::core::cache::{CachedModel, ResponseCache};
-use taxoglimpse::core::hier::{approx_token_count, RouterConfig, TrigramSet};
+use taxoglimpse::core::hier::{
+    approx_token_count, RouterConfig, ShortlistIndex, ShortlistScratch, TrigramSet,
+};
 use taxoglimpse::core::model::LanguageModel;
 use taxoglimpse::llm::knowledge::trigram_similarity;
 use taxoglimpse::llm::tokenizer::Tokenizer;
@@ -214,4 +219,104 @@ fn core_token_count_matches_llm_tokenizer() {
         assert_eq!(tokenizer.count(text), expected, "tokenizer count/tokenize split on {text:?}");
         assert_eq!(approx_token_count(text), expected, "token count diverged on {text:?}");
     }
+}
+
+/// The reference shortlist: every node scored with `TrigramSet::jaccard`
+/// and fully sorted by `(similarity desc, name, node id)`.
+fn full_scan(t: &Taxonomy, nodes: &[NodeId], probe: &str) -> Vec<NodeId> {
+    let probe = TrigramSet::new(probe);
+    let mut scored: Vec<(f64, NodeId)> = nodes
+        .iter()
+        .map(|&n| (probe.jaccard(&TrigramSet::new(t.name(n))), n))
+        .collect();
+    scored.sort_by(|a, b| {
+        b.0.total_cmp(&a.0)
+            .then_with(|| t.name(a.1).cmp(t.name(b.1)))
+            .then_with(|| a.1.raw().cmp(&b.1.raw()))
+    });
+    scored.into_iter().map(|(_, n)| n).collect()
+}
+
+/// Assert the index's top-k equals the full scan's first k for each k.
+fn assert_shortlists_match(
+    t: &Taxonomy,
+    nodes: &[NodeId],
+    probes: &[String],
+    ks: &[usize],
+    what: &str,
+) {
+    let index = ShortlistIndex::new(t, nodes.to_vec());
+    let mut scratch = ShortlistScratch::default();
+    for probe in probes {
+        let reference = full_scan(t, nodes, probe);
+        for &k in ks {
+            assert_eq!(
+                index.top_k(probe, k, &mut scratch),
+                reference[..k.min(reference.len())],
+                "{what}: probe {probe:?}, k = {k}"
+            );
+        }
+    }
+}
+
+/// Contract 4a: on all ten taxonomies, the leaf shortlist and the router
+/// equal the full scan for the workload's own instances, case-shifted
+/// leaf names, short names and names sharing no trigram with any leaf.
+#[test]
+fn shortlist_index_equals_full_scan_on_all_ten_taxonomies() {
+    let workload = HierWorkload::new()
+        .with_router(RouterConfig::default().with_top_k(3))
+        .with_sample_cap(Some(8));
+    for kind in TaxonomyKind::ALL {
+        let t = generate(kind, GenOptions { seed: 5, scale: 0.02 }).expect("valid options");
+        let cx = WorkloadContext::new(&t, kind, 5);
+        let data = workload.build(&cx).expect("all ten taxonomies have >= 2 levels");
+        let leaves = t.leaves();
+        let mut probes: Vec<String> = data.instances.iter().map(|i| i.name.clone()).collect();
+        probes.extend(
+            leaves.iter().step_by(leaves.len() / 4 + 1).map(|&l| t.name(l).to_uppercase()),
+        );
+        probes.extend(["", "a", "Zq", "\u{1}\u{2}\u{3}\u{4}", "ÉTÉ"].map(String::from));
+        assert_shortlists_match(&t, &leaves, &probes, &[1, 4, 9], &format!("{kind} leaves"));
+
+        let regions = t.nodes_at_level(1);
+        for probe in &probes {
+            let reference = full_scan(&t, regions, probe);
+            assert_eq!(
+                workload.route(&t, probe),
+                reference[..3.min(reference.len())],
+                "{kind} router: probe {probe:?}"
+            );
+        }
+    }
+}
+
+/// Contract 4b: adversarial names — under three bytes, empty,
+/// non-ASCII, mixed case, duplicates — and k past the node count.
+#[test]
+fn shortlist_index_equals_full_scan_on_adversarial_names() {
+    let mut b = TaxonomyBuilder::new("adversarial");
+    let root = b.add_root("Root");
+    let left = b.add_child(root, "Wireless Speakers");
+    let right = b.add_child(root, "wireless speakers");
+    for parent in [left, right] {
+        for name in [
+            "ab", "AB", "a", "", "Été", "été", "ÉTÉ", "naïve tæxon", "NAÏVE TÆXON",
+            "Wireless Speakers", "x—y", "aaaa", "aaaaaaa", "xyz",
+        ] {
+            b.add_child(parent, name);
+        }
+    }
+    let t = b.build().expect("adversarial taxonomy builds");
+    let all: Vec<NodeId> = t.ids().collect();
+    let mut probes: Vec<String> = all.iter().map(|&n| t.name(n).to_owned()).collect();
+    probes.extend(
+        ["", "A", "Ab", "aB", "éT", "zzzz", "WIRELESS", "aaa", "speakers wireless"]
+            .map(String::from),
+    );
+    let n = all.len();
+    let ks = [0, 1, 3, n - 1, n, n + 5];
+    assert_shortlists_match(&t, &all, &probes, &ks, "all nodes");
+    assert_shortlists_match(&t, &t.leaves(), &probes, &ks, "leaves");
+    assert_shortlists_match(&t, &[], &probes, &[0, 2], "no nodes");
 }
