@@ -7,7 +7,7 @@ use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_core::eval::{EvalConfig, Evaluator};
 use taxoglimpse_core::parse::parse_tf;
 use taxoglimpse_core::prompts::PromptSetting;
-use taxoglimpse_llm::knowledge::trigram_similarity;
+use taxoglimpse_core::text::trigram_similarity;
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_synth::{generate, GenOptions};

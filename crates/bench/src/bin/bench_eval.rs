@@ -41,11 +41,11 @@ use taxoglimpse_core::eval::EvalConfig;
 use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_core::model::LanguageModel;
 use taxoglimpse_core::prompts::PromptSetting;
+use taxoglimpse_core::text::reports_digest;
 use taxoglimpse_json::{from_str_value, Json, ToJson};
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::simulate::SimulatedLlm;
 use taxoglimpse_llm::zoo::ModelZoo;
-use taxoglimpse_synth::rng::{hash_str, mix64};
 
 /// Current schema version of `BENCH_eval.json` (see README.md).
 const SCHEMA_VERSION: u64 = 2;
@@ -213,7 +213,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
             };
             let mut best = f64::INFINITY;
             let mut total = 0.0;
-            let mut digest = 0xBA5E_11AEu64;
+            let mut digest = 0;
             for rep in 0..opts.repeat.max(1) {
                 let start = Instant::now();
                 let reports = runner.run_cross(&config_refs, &dataset_refs);
@@ -221,10 +221,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
                 total += elapsed;
                 best = best.min(elapsed);
                 if rep == 0 {
-                    for report in &reports {
-                        let json = taxoglimpse_json::to_string(report).expect("reports serialize");
-                        digest = mix64(digest ^ hash_str(0x5EED, &json));
-                    }
+                    digest = reports_digest(&reports);
                 }
             }
             if *setting_digest.get_or_insert(digest) != digest {

@@ -27,11 +27,11 @@ use std::time::Instant;
 use taxoglimpse_bench::TaxonomyCache;
 use taxoglimpse_core::domain::TaxonomyKind;
 use taxoglimpse_core::hier::{DescentConfig, HierWorkload, RouterConfig};
+use taxoglimpse_core::text::reports_digest;
 use taxoglimpse_core::workload::{Workload, WorkloadContext, WorkloadRunner};
 use taxoglimpse_json::{from_str_value, Json, ToJson};
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::zoo::ModelZoo;
-use taxoglimpse_synth::rng::{hash_str, mix64};
 
 /// Current schema version of `BENCH_hier.json` (see README.md).
 const SCHEMA_VERSION: u64 = 1;
@@ -127,12 +127,6 @@ fn main() {
     println!("wrote {}", opts.out);
 }
 
-/// Digest of one report's JSON (same recipe as `bench_shard` and the
-/// pinned determinism test).
-fn digest_json(json: &str) -> u64 {
-    mix64(0xBA5E_11AEu64 ^ hash_str(0x5EED, json))
-}
-
 /// Run the measured workload and build the `BENCH_hier.json` document.
 fn run_bench(opts: &BenchOptions) -> Json {
     let cache = TaxonomyCache::new();
@@ -176,9 +170,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
                     total += elapsed;
                     best = best.min(elapsed);
                     if rep == 0 {
-                        let json =
-                            taxoglimpse_json::to_string(&report).expect("reports serialize");
-                        let digest = digest_json(&json);
+                        let digest = reports_digest(std::slice::from_ref(&report));
                         if *cell_digest.get_or_insert(digest) != digest {
                             eprintln!(
                                 "error: {} / {}: {workers} workers produced digest \

@@ -33,19 +33,18 @@ use std::time::Instant;
 use taxoglimpse_bench::TaxonomyCache;
 use taxoglimpse_core::dataset::{Dataset, DatasetBuilder, QuestionDataset};
 use taxoglimpse_core::domain::TaxonomyKind;
-use taxoglimpse_core::eval::EvalReport;
 use taxoglimpse_core::grid::GridRunner;
 use taxoglimpse_core::metrics::Metrics;
 use taxoglimpse_core::model::{LanguageModel, Query};
 use taxoglimpse_core::prompts::{render_prompt, PromptSetting};
 use taxoglimpse_core::resilience::{ResiliencePolicy, ResilienceSession};
 use taxoglimpse_core::templates::TemplateVariant;
+use taxoglimpse_core::text::reports_digest;
 use taxoglimpse_json::{from_str_value, Json, ToJson};
 use taxoglimpse_llm::faults::{FaultInjector, FaultPlan};
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::simulate::SimulatedLlm;
 use taxoglimpse_report::histogram::LatencyHistogram;
-use taxoglimpse_synth::rng::{hash_str, mix64};
 
 /// Current schema version of `BENCH_resilience.json` (see README.md).
 const SCHEMA_VERSION: u64 = 1;
@@ -147,17 +146,6 @@ fn main() {
     println!("wrote {}", opts.out);
 }
 
-/// Digest over the JSON of every report, in grid order (same recipe as
-/// `bench_eval` and the pinned determinism test).
-fn digest_reports(reports: &[EvalReport]) -> u64 {
-    let mut digest = 0xBA5E_11AEu64;
-    for report in reports {
-        let json = taxoglimpse_json::to_string(report).expect("reports serialize");
-        digest = mix64(digest ^ hash_str(0x5EED, &json));
-    }
-    digest
-}
-
 /// Per-query *virtual* latency of the retry layer at one fault rate:
 /// replay every query through a fresh [`ResilienceSession`] per model
 /// and measure the session-clock delta (backoff waits, retry
@@ -222,7 +210,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
     let bare_refs: Vec<&dyn LanguageModel> =
         bare.iter().map(|m| m as &dyn LanguageModel).collect();
     let bare_digest =
-        digest_reports(&runner_with(opts.threads).run_cross(&bare_refs, &dataset_refs));
+        reports_digest(&runner_with(opts.threads).run_cross(&bare_refs, &dataset_refs));
 
     let mut results = Vec::new();
     for rate in FAULT_RATES {
@@ -240,7 +228,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
         let mut worker_digests = Vec::new();
         for workers in WORKER_COUNTS {
             let reports = runner_with(workers).run_cross(&model_refs, &dataset_refs);
-            worker_digests.push((workers, digest_reports(&reports)));
+            worker_digests.push((workers, reports_digest(&reports)));
         }
         let digest = worker_digests[0].1;
         for (workers, d) in &worker_digests {

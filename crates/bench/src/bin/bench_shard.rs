@@ -37,18 +37,18 @@ use taxoglimpse_bench::TaxonomyCache;
 use taxoglimpse_core::cache::{CacheStats, CachedModel, ResponseCache};
 use taxoglimpse_core::dataset::{Dataset, DatasetBuilder, QuestionDataset};
 use taxoglimpse_core::domain::TaxonomyKind;
-use taxoglimpse_core::eval::{EvalReport, Evaluator};
+use taxoglimpse_core::eval::Evaluator;
 use taxoglimpse_core::grid::GridRunnerBuilder;
 use taxoglimpse_core::metrics::Metrics;
 use taxoglimpse_core::model::LanguageModel;
 use taxoglimpse_core::shard::{run_grid_sharded, run_sharded, ShardedDataset, NUM_SLOTS};
+use taxoglimpse_core::text::reports_digest;
 use taxoglimpse_json::{from_str_value, Json, ToJson};
 use taxoglimpse_llm::faults::{FaultInjector, FaultPlan};
 use taxoglimpse_llm::profile::ModelId;
 use taxoglimpse_llm::simulate::SimulatedLlm;
 use taxoglimpse_llm::zoo::ModelZoo;
 use taxoglimpse_report::merge::merge_sharded;
-use taxoglimpse_synth::rng::{hash_str, mix64};
 use taxoglimpse_taxonomy::SubtreePartition;
 
 /// Current schema version of `BENCH_shard.json` (see README.md).
@@ -163,17 +163,6 @@ fn main() {
     println!("wrote {}", opts.out);
 }
 
-/// Digest over the JSON of every report, in order (same recipe as
-/// `bench_eval` / `bench_resilience` and the pinned determinism test).
-fn digest_reports(reports: &[EvalReport]) -> u64 {
-    let mut digest = 0xBA5E_11AEu64;
-    for report in reports {
-        let json = taxoglimpse_json::to_string(report).expect("reports serialize");
-        digest = mix64(digest ^ hash_str(0x5EED, &json));
-    }
-    digest
-}
-
 /// Abort the run if `digest` diverges from the rate's first-seen digest.
 fn enforce_rate_digest(
     rate_digest: &mut Option<u64>,
@@ -265,7 +254,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
                 total += elapsed;
                 best = best.min(elapsed);
                 if rep == 0 {
-                    digest = digest_reports(&reports);
+                    digest = reports_digest(&reports);
                     let mut pooled = Metrics::default();
                     for report in &reports {
                         pooled += report.overall;
@@ -364,7 +353,7 @@ fn run_bench(opts: &BenchOptions) -> Json {
                             eprintln!("error: {}: {shards} shards: {e}", kind.label());
                             std::process::exit(1);
                         });
-                        digest = digest_reports(std::slice::from_ref(&merged));
+                        digest = reports_digest(std::slice::from_ref(&merged));
                         availability = merged.overall.availability();
                         per_shard = runs
                             .iter()

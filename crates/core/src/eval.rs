@@ -253,17 +253,6 @@ impl Evaluator {
         EvaluatorBuilder::default()
     }
 
-    /// Create an evaluator with the given configuration and the default
-    /// resilience policy (3 deliveries, exponential backoff, breaker
-    /// on — all invisible while models never fail).
-    #[deprecated(
-        since = "0.10.0",
-        note = "build via Evaluator::builder(), or run through workload::WorkloadRunner"
-    )]
-    pub fn new(config: EvalConfig) -> Self {
-        Evaluator::builder().with_config(config).build()
-    }
-
     /// Override the resilience policy applied to every model call.
     pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> Self {
         self.resilience = resilience;

@@ -46,6 +46,7 @@ use crate::prompts::render_prompt;
 use crate::question::{Question, QuestionBody};
 use crate::resilience::ResilienceSession;
 use crate::sampling::cochran_sample_size;
+use crate::text::{grams, token_count, TokenCounter, TrigramSet};
 use crate::workload::{Workload, WorkloadContext, WorkloadError, WorkloadRunner};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -67,111 +68,8 @@ const ID_TAG_FLAT: u64 = 0x41E2_F1A7;
 const FLAT_CORRUPT_TAG: u64 = 0xC0_44AB7;
 
 // ---------------------------------------------------------------------
-// In-core text helpers (core must not depend on the llm crate; the
-// precedent is `detailed::candidate_similarity`). Cross-crate
-// equivalence with `llm::similarity` / `llm::tokenizer` is pinned by
-// integration tests at the workspace root.
-// ---------------------------------------------------------------------
-
-/// A name's deduplicated, sorted, lowercased byte trigrams — the
-/// embedding substitute used for routing and ambiguity flags.
-#[derive(Debug, Clone, Default)]
-pub struct TrigramSet {
-    grams: Vec<[u8; 3]>,
-    lower: String,
-}
-
-impl TrigramSet {
-    /// Build the trigram set of `name`.
-    pub fn new(name: &str) -> Self {
-        let lower: String = name.chars().map(|c| c.to_ascii_lowercase()).collect();
-        let bytes = lower.as_bytes();
-        let mut grams: Vec<[u8; 3]> = if bytes.len() < 3 {
-            Vec::new()
-        } else {
-            bytes.windows(3).map(|w| [w[0], w[1], w[2]]).collect()
-        };
-        grams.sort_unstable();
-        grams.dedup();
-        TrigramSet { grams, lower }
-    }
-
-    /// Trigram Jaccard similarity in `[0, 1]`; names too short for
-    /// trigrams fall back to case-insensitive equality.
-    pub fn jaccard(&self, other: &TrigramSet) -> f64 {
-        if self.grams.is_empty() || other.grams.is_empty() {
-            return if self.lower == other.lower { 1.0 } else { 0.0 };
-        }
-        let inter = self
-            .grams
-            .iter()
-            .filter(|g| other.grams.binary_search(g).is_ok())
-            .count();
-        inter as f64 / (self.grams.len() + other.grams.len() - inter) as f64
-    }
-}
-
-/// Approximate token count of `text`: whitespace words split into
-/// alternating alphanumeric/punctuation runs, each run costing
-/// `ceil(chars / 6)` tokens — the same rule as the llm crate's
-/// tokenizer, inlined here for prompt-cost accounting.
-pub fn approx_token_count(text: &str) -> usize {
-    let mut counter = TokenCounter::default();
-    counter.push_str(text);
-    counter.finish()
-}
-
-/// Streaming form of [`approx_token_count`]: the count of the
-/// concatenation of every pushed piece, so a long text never has to be
-/// materialized.
-#[derive(Debug, Default)]
-struct TokenCounter {
-    tokens: usize,
-    run_chars: usize,
-    run_alnum: bool,
-}
-
-impl TokenCounter {
-    fn push_str(&mut self, text: &str) {
-        for c in text.chars() {
-            if c.is_whitespace() {
-                self.end_run();
-                continue;
-            }
-            let alnum = c.is_alphanumeric();
-            if self.run_chars > 0 && alnum != self.run_alnum {
-                self.end_run();
-            }
-            self.run_alnum = alnum;
-            self.run_chars += 1;
-        }
-    }
-
-    fn end_run(&mut self) {
-        self.tokens += self.run_chars.div_ceil(6);
-        self.run_chars = 0;
-    }
-
-    fn finish(mut self) -> usize {
-        self.end_run();
-        self.tokens
-    }
-}
-
-// ---------------------------------------------------------------------
 // Exact top-k shortlist
 // ---------------------------------------------------------------------
-
-/// The byte trigrams of `name`, ASCII-lowercased and packed into the
-/// low 24 bits of a `u32` — the grams [`TrigramSet`] stores as
-/// `[u8; 3]`, in window order with repeats.
-fn grams(name: &str) -> impl Iterator<Item = u32> + '_ {
-    let mut gram = 0u32;
-    name.bytes().enumerate().filter_map(move |(i, b)| {
-        gram = (gram << 8 | u32::from(b.to_ascii_lowercase())) & 0xFF_FFFF;
-        (i >= 2).then_some(gram)
-    })
-}
 
 /// Packed grams use 24 bits, so this never collides with a real key.
 const EMPTY_SLOT: u32 = u32::MAX;
@@ -836,7 +734,7 @@ fn whole_taxonomy_base_tokens(t: &Taxonomy) -> usize {
         }
         listing.push_str(t.name(leaf));
     }
-    approx_token_count("Classify the instance into exactly one of the following categories:")
+    token_count("Classify the instance into exactly one of the following categories:")
         + listing.finish()
 }
 
@@ -950,7 +848,7 @@ impl HierWorkload {
                         &[],
                     );
                     result.queries += 1;
-                    result.prompt_tokens += approx_token_count(&prompt);
+                    result.prompt_tokens += token_count(&prompt);
                     let query = Query::new(&prompt, &question, state.config.setting);
                     let text = match session.call(model, &query) {
                         Ok(response) => response.text,
@@ -1012,7 +910,7 @@ impl HierWorkload {
         };
         let prompt =
             render_prompt(&question, state.config.setting, state.config.variant, &[]);
-        result.flat_tokens += approx_token_count(&prompt);
+        result.flat_tokens += token_count(&prompt);
         let query = Query::new(&prompt, &question, state.config.setting);
         let text = match session.call(model, &query) {
             Ok(response) => response.text,
@@ -1271,7 +1169,7 @@ impl Workload for HierWorkload {
             }
             metrics.flat_prompt_tokens += r.flat_tokens;
             metrics.whole_taxonomy_prompt_tokens +=
-                whole_taxonomy_base_tokens + approx_token_count(&instance.name);
+                whole_taxonomy_base_tokens + token_count(&instance.name);
         }
 
         HierReport {
@@ -1316,46 +1214,14 @@ mod tests {
     }
 
     #[test]
-    fn trigram_set_matches_detailed_precedent() {
-        let a = TrigramSet::new("Wireless Speakers");
-        assert!((a.jaccard(&TrigramSet::new("Wireless Speakers")) - 1.0).abs() < 1e-12);
-        assert!(a.jaccard(&TrigramSet::new("Books")) < 0.2);
-        // Short-name fallback: equality modulo case.
-        assert_eq!(TrigramSet::new("ab").jaccard(&TrigramSet::new("AB")), 1.0);
-        assert_eq!(TrigramSet::new("ab").jaccard(&TrigramSet::new("cd")), 0.0);
-    }
-
-    #[test]
-    fn token_count_rule() {
-        assert_eq!(approx_token_count("cat"), 1);
-        assert_eq!(approx_token_count("cat, dog"), 3); // "cat" "," "dog"
-        assert_eq!(approx_token_count("extraordinarily"), 3); // 15 chars / 6
-        assert_eq!(approx_token_count("  "), 0);
-    }
-
-    #[test]
-    fn token_counter_is_chunking_invariant() {
-        let text = "Wireless Speakers, Books. naïve—tæxon  (level 7 -> 6), x";
-        for split in 0..=text.len() {
-            if !text.is_char_boundary(split) {
-                continue;
-            }
-            let mut counter = TokenCounter::default();
-            counter.push_str(&text[..split]);
-            counter.push_str(&text[split..]);
-            assert_eq!(counter.finish(), approx_token_count(text), "split at {split}");
-        }
-    }
-
-    #[test]
     fn whole_taxonomy_tokens_count_the_joined_listing() {
         let t = generate(TaxonomyKind::Icd10Cm, GenOptions { seed: 3, scale: 0.05 }).unwrap();
         let listing: Vec<&str> = t.leaves().into_iter().map(|l| t.name(l)).collect();
         assert_eq!(
             whole_taxonomy_base_tokens(&t),
-            approx_token_count(
+            token_count(
                 "Classify the instance into exactly one of the following categories:"
-            ) + approx_token_count(&listing.join(", "))
+            ) + token_count(&listing.join(", "))
         );
     }
 

@@ -36,6 +36,8 @@
 //!   serving layer — open-loop multi-tenant traffic, dynamic batching,
 //!   admission control — over the same model towers, with
 //!   byte-identical traces across prefetch worker counts.
+//! * **Text primitives** ([`text`]): the one trigram similarity, token
+//!   count and report digest every crate uses.
 
 #![warn(missing_docs)]
 
@@ -61,8 +63,8 @@ pub mod resilience;
 pub mod sampling;
 pub mod serve;
 pub mod shard;
-pub mod store;
 pub mod templates;
+pub mod text;
 pub mod workload;
 
 pub use cache::{CachedModel, ResponseCache};

@@ -176,7 +176,7 @@ pub trait LanguageModel: Send + Sync {
     /// The default implementation is a plain loop over [`Self::answer`],
     /// so every model keeps working unchanged. Implementations may
     /// override it to amortize per-call work (knowledge lookups,
-    /// few-shot prefix hashing, tokenizer passes, lock acquisition)
+    /// few-shot prefix hashing, token counting, lock acquisition)
     /// across the batch — but each element of the returned vector MUST
     /// be exactly what `answer` would have returned for that query
     /// alone. Batching is an execution detail; it must never be

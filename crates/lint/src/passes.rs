@@ -26,6 +26,7 @@ pub const D101_ROOT_FILES: &[&str] = &[
     "crates/core/src/hier.rs",
     "crates/core/src/workload.rs",
     "crates/core/src/shard.rs",
+    "crates/core/src/text.rs",
     "crates/core/src/cache.rs",
     "crates/core/src/resilience.rs",
     "crates/core/src/serve/mod.rs",

@@ -195,11 +195,7 @@ impl Taxonomy {
                     // Range is relative to the payload after magic+version.
                     bytes.truncate(6 + range.end);
                     bytes.drain(..6 + range.start);
-                    debug_assert!(std::str::from_utf8(&bytes).is_ok());
-                    // SAFETY: `bytes` now holds exactly the name-block
-                    // range that decode_v2 validated as UTF-8 (truncate +
-                    // drain preserve those bytes unchanged).
-                    unsafe { String::from_utf8_unchecked(bytes) }
+                    String::from_utf8(bytes).expect("decode_v2 validated the name block as UTF-8")
                 }))
             }
             other => Err(BinaryError::BadVersion(other)),
@@ -214,16 +210,9 @@ impl Taxonomy {
 /// NCBI-scale name arena (~38 MB) is never moved after leaving the
 /// kernel.
 ///
-/// `names_ascii`, when `Some`, must equal `names.is_ascii()` — the
-/// loader computes it over each slice while the bytes are still cache
-/// warm, sparing the decoder a cold rescan. A wrong `Some(true)` would
-/// skip UTF-8 validation, so only pass a value actually derived from
-/// `names`' bytes.
-pub(crate) fn from_binary_split(
-    head: &[u8],
-    names: Vec<u8>,
-    names_ascii: Option<bool>,
-) -> Result<Taxonomy, BinaryError> {
+/// The name block is validated as UTF-8 exactly once, by
+/// `String::from_utf8`, which takes the buffer without copying it.
+pub(crate) fn from_binary_split(head: &[u8], names: Vec<u8>) -> Result<Taxonomy, BinaryError> {
     if head.len() < 6 || &head[..4] != MAGIC {
         return Err(BinaryError::BadMagic);
     }
@@ -231,12 +220,11 @@ pub(crate) fn from_binary_split(
     if version != VERSION_V2 {
         return Err(BinaryError::BadVersion(version));
     }
-    let decoded = decode_v2_with(&head[6..], Some(&names), names_ascii)?;
+    let names = String::from_utf8(names).map_err(|_| BinaryError::BadUtf8)?;
+    let decoded = decode_v2_with(&head[6..], Some(&names))?;
     Ok(materialize_names(decoded, move |range| {
         debug_assert_eq!(range, 0..names.len());
-        debug_assert!(std::str::from_utf8(&names).is_ok());
-        // SAFETY: decode_v2_with validated the full name block as UTF-8.
-        unsafe { String::from_utf8_unchecked(names) }
+        names
     }))
 }
 
@@ -284,20 +272,14 @@ fn from_binary_v1(mut rest: &[u8]) -> Result<Taxonomy, BinaryError> {
 }
 
 fn decode_v2(rest: &[u8]) -> Result<DecodedV2, BinaryError> {
-    decode_v2_with(rest, None, None)
+    decode_v2_with(rest, None)
 }
 
 /// Shared v2 decoder: `rest` holds everything after magic+version, and
 /// the name block either follows the offset table inside `rest`
-/// (`split_names: None`) or was staged into its own buffer
-/// (`Some(block)`), whose length must match the declared count.
-/// `ascii_hint` is the caller's precomputed `is_ascii()` of the split
-/// name block, if it has one (see [`from_binary_split`]).
-fn decode_v2_with(
-    rest: &[u8],
-    split_names: Option<&[u8]>,
-    ascii_hint: Option<bool>,
-) -> Result<DecodedV2, BinaryError> {
+/// (`split_names: None`) or was staged into its own, already validated
+/// buffer (`Some(block)`), whose length must match the declared count.
+fn decode_v2_with(rest: &[u8], split_names: Option<&str>) -> Result<DecodedV2, BinaryError> {
     let mut cursor = rest;
     let buf = &mut cursor;
     let label = get_string(buf)?;
@@ -326,13 +308,14 @@ fn decode_v2_with(
     let name_bytes = get_u64(buf)? as usize;
     let offset_bytes = take(buf, (n + 1) * 4)?;
     // The name block must actually be present before we use it.
-    let (name_start, name_block) = match split_names {
+    let (name_start, name_str) = match split_names {
         None => {
             if buf.len() < name_bytes {
                 return Err(BinaryError::Truncated);
             }
             let start = rest.len() - buf.len();
-            (start, take(buf, name_bytes)?)
+            let block = take(buf, name_bytes)?;
+            (start, std::str::from_utf8(block).map_err(|_| BinaryError::BadUtf8)?)
         }
         Some(block) => {
             if block.len() != name_bytes {
@@ -340,23 +323,6 @@ fn decode_v2_with(
             }
             (0, block)
         }
-    };
-    // ASCII blocks (the common case for generated taxonomies) are
-    // trivially valid UTF-8 and make every offset a char boundary, so
-    // one SIMD-friendly `is_ascii` scan replaces both the full UTF-8
-    // validation and the per-span boundary checks below.
-    let ascii = match (split_names, ascii_hint) {
-        (Some(_), Some(hint)) => {
-            debug_assert_eq!(hint, name_block.is_ascii(), "caller-supplied ASCII hint must match");
-            hint
-        }
-        _ => name_block.is_ascii(),
-    };
-    let name_str = if ascii {
-        // SAFETY: ASCII is a strict subset of UTF-8.
-        unsafe { std::str::from_utf8_unchecked(name_block) }
-    } else {
-        std::str::from_utf8(name_block).map_err(|_| BinaryError::BadUtf8)?
     };
 
     // Offsets: first = 0, last = name_bytes, monotonic (which together
@@ -384,14 +350,9 @@ fn decode_v2_with(
     if !monotonic {
         return Err(BinaryError::BadOffsets);
     }
-    if !ascii {
-        for &(start, end) in &name_spans {
-            if !name_str.is_char_boundary(start as usize)
-                || !name_str.is_char_boundary(end as usize)
-            {
-                return Err(BinaryError::BadOffsets);
-            }
-        }
+    // The spans tile the block, so each start is 0 or the previous end.
+    if !name_spans.iter().all(|&(_, end)| name_str.is_char_boundary(end as usize)) {
+        return Err(BinaryError::BadOffsets);
     }
 
     // One fused forward pass over the parent column: rejects

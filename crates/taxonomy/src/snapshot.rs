@@ -179,21 +179,16 @@ impl SnapshotStore {
         names.reserve_exact(name_bytes as usize + 1);
         const SLICE: u64 = 8 << 20;
         let mut done = 0u64;
-        // ASCII-ness is proven slice by slice alongside the checksum so
-        // the decoder never has to rescan the (by then cold) name block.
-        let mut names_ascii = true;
         while done < name_bytes {
             let step = (name_bytes - done).min(SLICE);
             read_chunk(&mut file, &mut names, step)?;
-            let slice = &names[done as usize..];
-            sum.update(slice);
-            names_ascii &= slice.is_ascii();
+            sum.update(&names[done as usize..]);
             done += step;
         }
         if sum.finish() != stored_sum {
             return None;
         }
-        crate::binary::from_binary_split(&head, names, Some(names_ascii)).ok()
+        crate::binary::from_binary_split(&head, names).ok()
     }
 
     /// Serialize `taxonomy` under `key`, atomically (temp file +

@@ -13,7 +13,7 @@
 //! ```
 
 use taxoglimpse::core::question::QuestionBody;
-use taxoglimpse::llm::knowledge::trigram_similarity;
+use taxoglimpse::core::text::trigram_similarity;
 use taxoglimpse::prelude::*;
 
 /// Yes iff trigram similarity clears a threshold; never abstains.

@@ -146,8 +146,8 @@ fn every_taxonomy_kind_round_trips() {
 
 #[test]
 fn owned_decode_handles_non_ascii_names() {
-    // Non-ASCII names take the slower UTF-8 validation + char-boundary
-    // path; the owned decoder must still reuse the buffer correctly.
+    // Multi-byte names exercise the char-boundary checks; the owned
+    // decoder must still reuse the buffer correctly.
     let mut b = TaxonomyBuilder::new("unicode");
     let r = b.add_root("Racine α");
     b.add_child(r, "Enfant β");
@@ -158,6 +158,34 @@ fn owned_decode_handles_non_ascii_names() {
     assert_eq!(back.to_binary(), t.to_binary());
     let names: Vec<&str> = back.ids().map(|id| back.name(id)).collect();
     assert_eq!(names, ["Racine α", "Enfant β", "été"]);
+}
+
+/// A single invalid byte in an otherwise ASCII name block is rejected
+/// by the inline decoders and by snapshot load, whose envelope and
+/// checksum are otherwise valid.
+#[test]
+fn invalid_utf8_in_an_ascii_name_block_is_rejected() {
+    let mut payload = sample().to_binary();
+    // The name block ends the payload; its last name is "Child B".
+    let at = payload.len() - 3;
+    assert_eq!(payload[at], b'd');
+    payload[at] = 0xFF;
+    assert_eq!(Taxonomy::from_binary(&payload).unwrap_err(), BinaryError::BadUtf8);
+    assert_eq!(Taxonomy::from_binary_owned(payload.clone()).unwrap_err(), BinaryError::BadUtf8);
+
+    let store = temp_store("utf8");
+    fs::create_dir_all(store.dir()).unwrap();
+    for (key, payload) in [("valid", sample().to_binary()), ("invalid", payload)] {
+        let mut file = b"TXSP".to_vec();
+        file.extend_from_slice(&1u16.to_le_bytes());
+        file.extend_from_slice(&checksum(&payload).to_le_bytes());
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&payload);
+        fs::write(store.path_for(key), file).unwrap();
+    }
+    assert_eq!(store.load("valid").unwrap().to_binary(), sample().to_binary());
+    assert!(store.load("invalid").is_none(), "a non-UTF-8 name block must not load");
+    fs::remove_dir_all(store.dir()).unwrap();
 }
 
 /// Every kind plus the encoder's edge cases: an empty label with empty

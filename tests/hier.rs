@@ -11,25 +11,18 @@
 //! 2. **Validity by construction** — the constrained descent records
 //!    zero invalid labels on every one of the ten taxonomies, for the
 //!    strongest and weakest simulated models alike.
-//! 3. **Cross-crate equivalence** — `core::hier`'s in-core trigram
-//!    similarity and token-count approximations (core cannot depend on
-//!    the llm crate) compute exactly the same values as
-//!    `llm::knowledge::trigram_similarity` and `llm`'s tokenizer.
-//! 4. **Shortlist exactness** — the inverted-trigram shortlist the
+//! 3. **Shortlist exactness** — the inverted-trigram shortlist the
 //!    router and the flat baseline use returns exactly the list that
-//!    scoring every node with `TrigramSet::jaccard` and sorting gives.
+//!    scoring every node with `core::text::TrigramSet::jaccard` and sorting
+//!    gives.
 
 use std::sync::Arc;
 
 use taxoglimpse::core::cache::{CachedModel, ResponseCache};
-use taxoglimpse::core::hier::{
-    approx_token_count, RouterConfig, ShortlistIndex, ShortlistScratch, TrigramSet,
-};
+use taxoglimpse::core::hier::{RouterConfig, ShortlistIndex, ShortlistScratch};
 use taxoglimpse::core::model::LanguageModel;
-use taxoglimpse::llm::knowledge::trigram_similarity;
-use taxoglimpse::llm::tokenizer::Tokenizer;
+use taxoglimpse::core::text::TrigramSet;
 use taxoglimpse::prelude::*;
-use taxoglimpse::synth::rng::{fork, Rng};
 
 /// Serialize a hier report for byte comparison.
 fn report_bytes(report: &taxoglimpse::core::hier::HierReport) -> String {
@@ -158,69 +151,6 @@ fn router_candidates_are_deterministic_and_level_consistent() {
     }
 }
 
-/// Contract 3a: in-core trigram similarity equals the llm crate's on
-/// real taxonomy names and on adversarial short/unicode strings.
-#[test]
-fn core_trigram_similarity_matches_llm_crate() {
-    let taxonomy =
-        generate(TaxonomyKind::Oae, GenOptions { seed: 3, scale: 0.2 }).expect("valid options");
-    let names: Vec<&str> = taxonomy.ids().take(60).map(|id| taxonomy.name(id)).collect();
-    let mut rng = fork(0x7a78_6f67, "hier-trigram", 0);
-    for _ in 0..300 {
-        let a = names[rng.gen_index(names.len())];
-        let b = names[rng.gen_index(names.len())];
-        let core_sim = TrigramSet::new(a).jaccard(&TrigramSet::new(b));
-        let llm_sim = trigram_similarity(a, b);
-        assert_eq!(core_sim, llm_sim, "trigram similarity diverged on {a:?} vs {b:?}");
-    }
-    for (a, b) in [
-        ("", ""),
-        ("ab", "AB"),
-        ("ab", "ba"),
-        ("a", "abc"),
-        ("Emphysema, J43", "emphysema, j43"),
-        ("naïve tæxon", "NAÏVE TÆXON"),
-        ("x — y", "x—y"),
-    ] {
-        assert_eq!(
-            TrigramSet::new(a).jaccard(&TrigramSet::new(b)),
-            trigram_similarity(a, b),
-            "trigram similarity diverged on {a:?} vs {b:?}"
-        );
-    }
-}
-
-/// Contract 3b: in-core approximate token counting equals the llm
-/// tokenizer's `count` (and its materialized `tokenize().len()`).
-#[test]
-fn core_token_count_matches_llm_tokenizer() {
-    let tokenizer = Tokenizer::default();
-    let taxonomy =
-        generate(TaxonomyKind::Icd10Cm, GenOptions { seed: 3, scale: 0.05 }).expect("valid options");
-    for id in taxonomy.ids().take(120) {
-        let name = taxonomy.name(id);
-        assert_eq!(
-            approx_token_count(name),
-            tokenizer.count(name),
-            "token count diverged on {name:?}"
-        );
-    }
-    for text in [
-        "",
-        "   ",
-        "word",
-        "hyphenated-compound-name, with punctuation!",
-        "A) Audio B) Video C) Garden D) Books E) None of the above",
-        "supercalifragilisticexpialidocious",
-        "naïve — tæxonomy's œuvre",
-        "Is `Verbascum chaixii` a kind of Verbascum? (level 7 -> 6)",
-    ] {
-        let expected = tokenizer.tokenize(text).len();
-        assert_eq!(tokenizer.count(text), expected, "tokenizer count/tokenize split on {text:?}");
-        assert_eq!(approx_token_count(text), expected, "token count diverged on {text:?}");
-    }
-}
-
 /// The reference shortlist: every node scored with `TrigramSet::jaccard`
 /// and fully sorted by `(similarity desc, name, node id)`.
 fn full_scan(t: &Taxonomy, nodes: &[NodeId], probe: &str) -> Vec<NodeId> {
@@ -259,7 +189,7 @@ fn assert_shortlists_match(
     }
 }
 
-/// Contract 4a: on all ten taxonomies, the leaf shortlist and the router
+/// Contract 3a: on all ten taxonomies, the leaf shortlist and the router
 /// equal the full scan for the workload's own instances, case-shifted
 /// leaf names, short names and names sharing no trigram with any leaf.
 #[test]
@@ -291,7 +221,7 @@ fn shortlist_index_equals_full_scan_on_all_ten_taxonomies() {
     }
 }
 
-/// Contract 4b: adversarial names — under three bytes, empty,
+/// Contract 3b: adversarial names — under three bytes, empty,
 /// non-ASCII, mixed case, duplicates — and k past the node count.
 #[test]
 fn shortlist_index_equals_full_scan_on_adversarial_names() {

@@ -8,7 +8,7 @@
 //! * cached-prefix prompt rendering equals fresh whole-prompt renders
 //!   for every `PromptSetting × TemplateVariant`;
 //! * the [`SimilarityCache`] interner equals direct
-//!   `trigram_similarity` on a fuzz-style name corpus.
+//!   `core::text::trigram_similarity` on a fuzz-style name corpus.
 //!
 //! PR 4 adds the data-production side: chunk-indexed parallel
 //! generation must be digest-identical across worker counts (and feed
@@ -24,7 +24,7 @@ use taxoglimpse::core::grid::GridRunner;
 use taxoglimpse::core::model::LanguageModel;
 use taxoglimpse::core::prompts::{render_prefix, render_prompt, render_prompt_into};
 use taxoglimpse::core::templates::TemplateVariant;
-use taxoglimpse::llm::knowledge::trigram_similarity;
+use taxoglimpse::core::text::trigram_similarity;
 use taxoglimpse::llm::similarity::SimilarityCache;
 use taxoglimpse::prelude::*;
 
