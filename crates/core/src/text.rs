@@ -51,22 +51,21 @@ impl TrigramSet {
 
     /// Trigram Jaccard similarity in `[0, 1]`; names under three bytes
     /// fall back to case-insensitive equality.
+    ///
+    /// The merge is branch-free: each step advances whichever side holds
+    /// the smaller gram (both on a match), so the only branch left is the
+    /// loop bound and the order of gram values cannot be mispredicted.
     pub fn jaccard(&self, other: &TrigramSet) -> f64 {
-        let (a, b) = (&self.grams, &other.grams);
+        let (a, b) = (&self.grams[..], &other.grams[..]);
         if a.is_empty() || b.is_empty() {
             return if self.lower == other.lower { 1.0 } else { 0.0 };
         }
         let (mut i, mut j, mut inter) = (0, 0, 0usize);
         while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    inter += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
+            let (x, y) = (a[i], b[j]);
+            inter += usize::from(x == y);
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
         }
         inter as f64 / (a.len() + b.len() - inter) as f64
     }
@@ -263,6 +262,41 @@ mod tests {
         assert_eq!(trigram_similarity("naïve tæxon", "NAïVE TæXON"), 1.0);
         assert!(trigram_similarity("Verbascum chaixii", "Verbascum") > 0.4);
         assert!(trigram_similarity("Verbascum chaixii", "Silene") < 0.1);
+    }
+
+    /// The branch-free merge against the reference on seeded pairs of
+    /// names from every generated taxonomy, identical pairs, pairs of
+    /// very unequal size and the odd strings, both ways round.
+    #[test]
+    fn jaccard_matches_reference_across_all_taxonomies() {
+        let mut names: Vec<String> = Vec::new();
+        for kind in TaxonomyKind::ALL {
+            let taxonomy = generate(kind, GenOptions { seed: 5, scale: 0.02 }).unwrap();
+            names.extend(taxonomy.ids().take(200).map(|id| taxonomy.name(id).to_owned()));
+        }
+        let long = names.iter().max_by_key(|n| n.len()).unwrap().repeat(8);
+        let mut pairs: Vec<(&str, &str)> = Vec::new();
+        let mut rng = fork(0x7a78_6f67, "jaccard-merge", 0);
+        for _ in 0..2_000 {
+            pairs.push((&names[rng.gen_index(names.len())], &names[rng.gen_index(names.len())]));
+        }
+        for name in names.iter().step_by(25) {
+            pairs.push((name, name));
+            pairs.push((name, &long));
+            let short = name.char_indices().nth(4).map_or(name.len(), |(i, _)| i);
+            pairs.push((&name[..short], name));
+        }
+        for a in ODD_STRINGS {
+            for b in ODD_STRINGS.iter().copied().chain(names.iter().take(20).map(String::as_str)) {
+                pairs.push((a, b));
+            }
+        }
+        for (a, b) in pairs {
+            let (sa, sb) = (TrigramSet::new(a), TrigramSet::new(b));
+            let ab = sa.jaccard(&sb);
+            assert_eq!(ab.to_bits(), reference_similarity(a, b).to_bits(), "{a:?} vs {b:?}");
+            assert_eq!(ab.to_bits(), sb.jaccard(&sa).to_bits(), "asymmetric: {a:?} vs {b:?}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use crate::calib;
 use crate::profile::{ModelId, ModelProfile};
-use crate::similarity::{self, SimilarityCache};
+use crate::similarity::{self, Interned, SimilarityCache};
 use taxoglimpse_core::dataset::QuestionDataset;
 use taxoglimpse_core::prompts::PromptSetting;
 use taxoglimpse_core::question::{NegativeKind, Question, QuestionBody};
@@ -112,6 +112,21 @@ impl KnowledgeModel {
         setting: PromptSetting,
         shots: usize,
     ) -> Decision {
+        let evidence = self
+            .use_surface_evidence
+            .then(|| similarity::with_cache(|cache| self.evidence(question, cache)));
+        self.decide_with_evidence(question, setting, shots, evidence)
+    }
+
+    /// The decision given the surface evidence (`None` when it is
+    /// ablated away).
+    fn decide_with_evidence(
+        &self,
+        question: &Question,
+        setting: PromptSetting,
+        shots: usize,
+        evidence: Option<f64>,
+    ) -> Decision {
         let (a, m) = self.effective_anchor(question);
 
         // Prompt-setting effect on abstention (Finding 4).
@@ -135,8 +150,7 @@ impl KnowledgeModel {
         logit += self.depth_term(question);
 
         // Surface-form evidence, centered per regime.
-        if self.use_surface_evidence {
-            let evidence = similarity::with_cache(|cache| self.evidence(question, cache));
+        if let Some(evidence) = evidence {
             logit += self.profile.similarity_weight * evidence;
         }
 
@@ -156,7 +170,7 @@ impl KnowledgeModel {
     /// questions that equals the child's level; for instance typing it
     /// is the probed ancestor's level + 1, which is what Figure 6 plots.
     fn depth_term(&self, question: &Question) -> f64 {
-        let levels = TaxonomyProfile::of(question.taxonomy).num_levels();
+        let levels = TaxonomyProfile::num_levels_of(question.taxonomy);
         if levels < 3 {
             return 0.0; // GeoNames: a single child level, nothing to tilt.
         }
@@ -169,13 +183,13 @@ impl KnowledgeModel {
 
     /// Signed surface evidence in roughly [-1, 1], centered per regime.
     ///
-    /// All surface lookups (trigram similarity, whole-name containment,
-    /// head-noun matches) are served from the [`SimilarityCache`]
-    /// interner — byte-identical to the direct functions, but each
-    /// unique name's lowercase form and trigram set is computed only
-    /// once per thread instead of up to five times per question.
+    /// Each name the question shows (child, candidate, true parent,
+    /// every option) is resolved against the [`SimilarityCache`] once;
+    /// every similarity, containment and head-noun test below reads the
+    /// resolved sets — byte-identical to the direct functions.
     fn evidence(&self, question: &Question, cache: &SimilarityCache) -> f64 {
         let center = regime_center(question.taxonomy);
+        let child = cache.resolve(&question.child);
         // Instance typing gets an extra lexical term: a product named
         // "… Compact Pencil X137" trivially string-matches a "Pencils"
         // category for a real LLM, so head-noun containment is strong
@@ -185,17 +199,16 @@ impl KnowledgeModel {
         // about the exact category.
         const LEX_CONFIRM: f64 = 0.40;
         const LEX_REJECT: f64 = 0.80;
-        let lexical = |supports: &str, against: Option<&str>, weight: f64| -> f64 {
+        let lexical = |supports: &Interned<'_>, against: Option<&Interned<'_>>, weight: f64| -> f64 {
             if !question.instance_typing {
                 return 0.0;
             }
-            let hit = |concept: &str| cache.head_matches(&question.child, concept);
             let mut e = 0.0;
-            if hit(supports) {
+            if child.head_matches(supports) {
                 e += weight;
             }
             if let Some(against) = against {
-                if hit(against) {
+                if child.head_matches(against) {
                     e -= weight;
                 }
             }
@@ -208,58 +221,45 @@ impl KnowledgeModel {
         // children *always* embed the parent, so there the term is
         // neutral; for NCBI only the species level fires).
         const CONTAINMENT: f64 = 0.6;
-        let contains = |name: &str, concept: &str| -> bool { cache.contains_name(name, concept) };
         let lex_center = containment_center(question.taxonomy);
         match &question.body {
             QuestionBody::TrueFalse { candidate, expected_yes, .. } => {
+                let candidate = cache.resolve(candidate);
                 if *expected_yes {
-                    let fires = contains(&question.child, candidate);
-                    cache.similarity(&question.child, candidate) - center
+                    let fires = child.contains(&candidate);
+                    child.similarity(&candidate) - center
                         + CONTAINMENT * (f64::from(fires) - lex_center)
-                        + lexical(candidate, None, LEX_CONFIRM)
+                        + lexical(&candidate, None, LEX_CONFIRM)
                 } else {
                     // Correctly rejecting is easier when the child clearly
                     // belongs elsewhere (high similarity to the true
                     // parent, low to the candidate).
-                    let to_true = cache.similarity(&question.child, &question.true_parent);
-                    let to_cand = cache.similarity(&question.child, candidate);
-                    let fires = contains(&question.child, &question.true_parent)
-                        && !contains(&question.child, candidate);
+                    let true_parent = cache.resolve(&question.true_parent);
+                    let to_true = child.similarity(&true_parent);
+                    let to_cand = child.similarity(&candidate);
+                    let fires = child.contains(&true_parent) && !child.contains(&candidate);
                     to_true - to_cand
                         + CONTAINMENT * (f64::from(fires) - lex_center)
-                        + lexical(&question.true_parent, Some(candidate), LEX_REJECT)
+                        + lexical(&true_parent, Some(&candidate), LEX_REJECT)
                 }
             }
             QuestionBody::Mcq { options, correct } => {
-                let to_correct = cache.similarity(&question.child, &options[*correct as usize]);
-                let best_distractor = options
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != *correct as usize)
-                    .map(|(_, o)| cache.similarity(&question.child, o))
-                    .fold(0.0f64, f64::max);
+                let (to_correct, best_distractor) =
+                    option_similarities(cache, &child, options, Some(*correct as usize));
                 to_correct - best_distractor
             }
             QuestionBody::Sibling { options, correct } => match correct {
                 // Gold child shown: the MCQ margin, over however many
                 // children this round presents.
                 Some(c) => {
-                    let to_correct = cache.similarity(&question.child, &options[*c as usize]);
-                    let best_distractor = options
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != *c as usize)
-                        .map(|(_, o)| cache.similarity(&question.child, o))
-                        .fold(0.0f64, f64::max);
+                    let (to_correct, best_distractor) =
+                        option_similarities(cache, &child, options, Some(*c as usize));
                     to_correct - best_distractor
                 }
                 // Gold child absent: uniformly low similarity to every
                 // shown child is evidence *for* the correct abstention.
                 None => {
-                    let best_option = options
-                        .iter()
-                        .map(|o| cache.similarity(&question.child, o))
-                        .fold(0.0f64, f64::max);
+                    let (_, best_option) = option_similarities(cache, &child, options, None);
                     regime_center(question.taxonomy) - best_option
                 }
             },
@@ -267,10 +267,30 @@ impl KnowledgeModel {
     }
 }
 
+/// The child's similarity to option `gold` (0 without one) and its best
+/// similarity to any other option (floored at 0), one lookup per option.
+fn option_similarities(
+    cache: &SimilarityCache,
+    child: &Interned<'_>,
+    options: &[String],
+    gold: Option<usize>,
+) -> (f64, f64) {
+    let (mut to_gold, mut best_other) = (0.0, 0.0f64);
+    for (i, option) in options.iter().enumerate() {
+        let sim = child.similarity(&cache.resolve(option));
+        if Some(i) == gold {
+            to_gold = sim;
+        } else {
+            best_other = best_other.max(sim);
+        }
+    }
+    (to_gold, best_other)
+}
+
 /// Typical child↔parent trigram similarity per name regime; evidence is
 /// centered here so taxonomy-wide aggregates stay at the anchor.
 fn regime_center(kind: taxoglimpse_core::domain::TaxonomyKind) -> f64 {
-    match TaxonomyProfile::of(kind).regime {
+    match TaxonomyProfile::regime_of(kind) {
         NameRegime::Oae => 0.45,
         NameRegime::Icd => 0.20,
         NameRegime::Ncbi => 0.12,
@@ -286,7 +306,7 @@ fn regime_center(kind: taxoglimpse_core::domain::TaxonomyKind) -> f64 {
 /// embed the parent phrase; Schema children extend the parent stem about
 /// half the time; for NCBI only the species level (one of six) fires.
 fn containment_center(kind: taxoglimpse_core::domain::TaxonomyKind) -> f64 {
-    match TaxonomyProfile::of(kind).regime {
+    match TaxonomyProfile::regime_of(kind) {
         NameRegime::Oae => 0.90,
         NameRegime::SchemaOrg => 0.45,
         NameRegime::Ncbi => 0.17,
@@ -311,6 +331,7 @@ fn sigmoid(x: f64) -> f64 {
 mod tests {
     use super::*;
     use taxoglimpse_core::domain::TaxonomyKind;
+    use taxoglimpse_core::text::trigram_similarity;
 
     fn tf(kind: TaxonomyKind, child: &str, candidate: &str, parent: &str, level: usize, neg: Option<NegativeKind>) -> Question {
         Question {
@@ -393,6 +414,140 @@ mod tests {
                         assert!((0.0..=1.0).contains(&d.miss_prob), "{id} {kind} miss {}", d.miss_prob);
                         assert!((0.0..=1.0).contains(&d.correct_prob), "{id} {kind} c {}", d.correct_prob);
                     }
+                }
+            }
+        }
+    }
+
+    /// Test-only reference for [`KnowledgeModel::evidence`]: the direct
+    /// trigram similarity and ASCII-lowercase containment and head
+    /// matching, no interner.
+    fn reference_evidence(q: &Question) -> f64 {
+        fn contains(name: &str, concept: &str) -> bool {
+            concept.len() >= 4 && name.to_ascii_lowercase().contains(&concept.to_ascii_lowercase())
+        }
+        fn head_matches(name: &str, concept: &str) -> bool {
+            let head = concept.split(' ').next_back().unwrap_or(concept);
+            let head = head.strip_suffix('s').unwrap_or(head);
+            head.len() >= 3 && name.to_ascii_lowercase().contains(&head.to_ascii_lowercase())
+        }
+        let child = q.child.as_str();
+        let sim = |other: &str| trigram_similarity(child, other);
+        let lexical = |supports: &str, against: Option<&str>, weight: f64| {
+            let mut e = 0.0;
+            if q.instance_typing && head_matches(child, supports) {
+                e += weight;
+            }
+            if q.instance_typing && against.is_some_and(|a| head_matches(child, a)) {
+                e -= weight;
+            }
+            e
+        };
+        let best_other = |options: &[String], gold: Option<usize>| {
+            options
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| Some(i) != gold)
+                .map(|(_, o)| sim(o))
+                .fold(0.0, f64::max)
+        };
+        let (center, lex_center) = (regime_center(q.taxonomy), containment_center(q.taxonomy));
+        match &q.body {
+            QuestionBody::TrueFalse { candidate, expected_yes: true, .. } => {
+                sim(candidate) - center + 0.6 * (f64::from(contains(child, candidate)) - lex_center)
+                    + lexical(candidate, None, 0.40)
+            }
+            QuestionBody::TrueFalse { candidate, .. } => {
+                let parent = q.true_parent.as_str();
+                let fires = contains(child, parent) && !contains(child, candidate);
+                sim(parent) - sim(candidate) + 0.6 * (f64::from(fires) - lex_center)
+                    + lexical(parent, Some(candidate), 0.80)
+            }
+            QuestionBody::Mcq { options, correct } => {
+                let gold = *correct as usize;
+                sim(&options[gold]) - best_other(options, Some(gold))
+            }
+            QuestionBody::Sibling { options, correct: Some(c) } => {
+                let gold = *c as usize;
+                sim(&options[gold]) - best_other(options, Some(gold))
+            }
+            QuestionBody::Sibling { options, correct: None } => center - best_other(options, None),
+        }
+    }
+
+    /// Generated Easy, Hard and MCQ questions of every taxonomy,
+    /// instance-typing questions, and sibling rounds built from the MCQ
+    /// questions with the gold child shown, hidden, or shown alone.
+    fn reference_corpus() -> Vec<Question> {
+        use taxoglimpse_core::dataset::DatasetBuilder;
+        use taxoglimpse_core::workload::{InstanceTypingWorkload, Workload, WorkloadContext};
+        use taxoglimpse_synth::{generate, GenOptions};
+        let mut questions = Vec::new();
+        for kind in TaxonomyKind::ALL {
+            let scale = if kind == TaxonomyKind::Ncbi { 0.002 } else { 0.05 };
+            let t = generate(kind, GenOptions { seed: 13, scale }).unwrap();
+            let builder = DatasetBuilder::new(&t, kind, 13).sample_cap(Some(6));
+            for flavor in [QuestionDataset::Easy, QuestionDataset::Hard, QuestionDataset::Mcq] {
+                questions.extend(builder.build(flavor).unwrap().questions().cloned());
+            }
+            if kind.has_instances() {
+                let cx = WorkloadContext::new(&t, kind, 13);
+                for flavor in [QuestionDataset::Easy, QuestionDataset::Hard] {
+                    let typing = InstanceTypingWorkload::new(flavor).with_sample_cap(Some(8));
+                    questions.extend(typing.build(&cx).unwrap().questions().cloned());
+                }
+            }
+        }
+        let siblings: Vec<Question> = questions
+            .iter()
+            .filter_map(|q| match &q.body {
+                QuestionBody::Mcq { options, correct } => Some((q, options, *correct)),
+                _ => None,
+            })
+            .flat_map(|(q, options, gold)| {
+                let shown: Vec<String> = options.to_vec();
+                let hidden: Vec<String> = options
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != gold as usize)
+                    .map(|(_, o)| o.clone())
+                    .collect();
+                let alone = vec![options[gold as usize].clone()];
+                let rounds = [(shown, Some(gold)), (hidden, None), (alone, Some(0))];
+                rounds.map(|(options, correct)| Question {
+                    instance_typing: q.id % 2 == 0,
+                    body: QuestionBody::Sibling { options, correct },
+                    ..q.clone()
+                })
+            })
+            .collect();
+        questions.extend(siblings);
+        questions
+    }
+
+    #[test]
+    fn decide_is_bit_identical_to_reference_evidence() {
+        let questions = reference_corpus();
+        assert!(questions
+            .iter()
+            .any(|q| q.instance_typing && matches!(q.body, QuestionBody::TrueFalse { .. })));
+        assert!(questions.iter().any(|q| matches!(q.body, QuestionBody::Sibling { correct: None, .. })));
+        let cache = SimilarityCache::new();
+        let models: Vec<KnowledgeModel> = ModelId::ALL.into_iter().map(KnowledgeModel::new).collect();
+        for q in &questions {
+            let reference = reference_evidence(q);
+            let evidence = models[0].evidence(q, &cache);
+            assert_eq!(evidence.to_bits(), reference.to_bits(), "evidence of {q:?}");
+            for k in &models {
+                for setting in PromptSetting::ALL {
+                    let got = k.decide(q, setting);
+                    let want = k.decide_with_evidence(q, setting, PromptSetting::SHOTS, Some(reference));
+                    assert_eq!(
+                        (got.miss_prob.to_bits(), got.correct_prob.to_bits()),
+                        (want.miss_prob.to_bits(), want.correct_prob.to_bits()),
+                        "{} {setting:?} on {q:?}",
+                        k.profile().id
+                    );
                 }
             }
         }

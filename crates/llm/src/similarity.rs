@@ -1,15 +1,19 @@
 //! Interned surface-form evidence: the allocation-free fast path behind
 //! [`taxoglimpse_core::text::trigram_similarity`] and friends.
 //!
-//! The knowledge model consults surface evidence up to five times per
-//! question — child↔candidate trigram similarity, whole-name
-//! containment, head-noun matches — and a Tables 5–7 grid asks hundreds
-//! of thousands of questions over a vocabulary of at most a few
-//! thousand distinct names per dataset. Recomputing a name's lowercase
-//! form and sorted trigram set on every call (an allocation, a byte
-//! pass, a sort) is the single hottest allocation site in the whole
-//! query path. [`SimilarityCache`] interns each unique name's
-//! [`TrigramSet`] once and serves every subsequent query from it.
+//! The knowledge model weighs surface evidence on every question —
+//! child↔candidate trigram similarity, whole-name containment,
+//! head-noun matches — and a Tables 5–7 grid asks hundreds of
+//! thousands of questions over a vocabulary of at most a few thousand
+//! distinct names per dataset. Recomputing a name's lowercase form and
+//! sorted trigram set on every call (an allocation, a byte pass, a
+//! sort) would be the hottest allocation site of the whole query path.
+//! [`SimilarityCache`] interns each unique name's [`TrigramSet`] once
+//! per thread, and a question resolves each of its names (child,
+//! candidate, true parent, every option) with one lookup into an
+//! [`Interned`] handle; every comparison it then makes reads the
+//! resolved sets. The interner hashes with the workspace's own
+//! [`StreamHasher`], word at a time, rather than SipHash.
 //!
 //! Results are *definitionally* identical to the direct functions: the
 //! cache stores the very [`TrigramSet`] the direct function builds
@@ -24,17 +28,32 @@
 use std::cell::RefCell;
 // lint:allow(D001, interner is lookup-only: entries are keyed by exact name and never iterated, so hash order cannot reach any output)
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::rc::Rc;
 use taxoglimpse_core::text::TrigramSet;
+use taxoglimpse_synth::rng::StreamHasher;
 
 /// Hard cap on interned names per thread before the cache resets.
 pub const MAX_ENTRIES: usize = 1 << 20;
+
+/// Builds the interner's [`StreamHasher`]s (one fixed seed: the map is
+/// never iterated, so its hash values reach no output).
+#[derive(Debug, Default, Clone, Copy)]
+struct NameHash;
+
+impl BuildHasher for NameHash {
+    type Hasher = StreamHasher;
+
+    fn build_hasher(&self) -> StreamHasher {
+        StreamHasher::new(0x1A7E_4A3E)
+    }
+}
 
 /// Per-thread interner from name to [`TrigramSet`].
 #[derive(Debug, Default)]
 pub struct SimilarityCache {
     // lint:allow(D001, hot-path interner: O(1) probes beat BTreeMap here and the map is never iterated)
-    map: RefCell<HashMap<Box<str>, Rc<TrigramSet>>>,
+    map: RefCell<HashMap<Box<str>, Rc<TrigramSet>, NameHash>>,
 }
 
 impl SimilarityCache {
@@ -67,31 +86,51 @@ impl SimilarityCache {
         entry
     }
 
+    /// Resolve `name` once for any number of comparisons.
+    pub fn resolve<'a>(&self, name: &'a str) -> Interned<'a> {
+        Interned { name, set: self.entry(name) }
+    }
+
     /// Character-trigram Jaccard similarity, case-insensitive —
     /// identical to [`taxoglimpse_core::text::trigram_similarity`],
     /// served from the interned sets.
     pub fn similarity(&self, a: &str, b: &str) -> f64 {
-        let (ea, eb) = (self.entry(a), self.entry(b));
-        if Rc::ptr_eq(&ea, &eb) {
+        self.resolve(a).similarity(&self.resolve(b))
+    }
+}
+
+/// A name resolved against the interner: its spelling and its interned
+/// [`TrigramSet`].
+#[derive(Debug, Clone)]
+pub struct Interned<'a> {
+    name: &'a str,
+    set: Rc<TrigramSet>,
+}
+
+impl Interned<'_> {
+    /// Trigram similarity; one shared entry (the same name) is 1.0
+    /// without a merge.
+    pub fn similarity(&self, other: &Interned<'_>) -> f64 {
+        if Rc::ptr_eq(&self.set, &other.set) {
             return 1.0;
         }
-        ea.jaccard(&eb)
+        self.set.jaccard(&other.set)
     }
 
     /// Whole-name containment as the knowledge model defines it:
     /// `concept` is at least four bytes and its lowercase form appears
-    /// in `name`'s lowercase form.
-    pub fn contains_name(&self, name: &str, concept: &str) -> bool {
-        concept.len() >= 4 && self.entry(name).lower().contains(self.entry(concept).lower())
+    /// in this name's lowercase form.
+    pub fn contains(&self, concept: &Interned<'_>) -> bool {
+        concept.name.len() >= 4 && self.set.lower().contains(concept.set.lower())
     }
 
     /// Head-noun match as the knowledge model defines it: the last
     /// space-separated word of `concept`, singular-ized by stripping a
-    /// trailing lowercase `s`, appears (length ≥ 3) in `name`,
+    /// trailing lowercase `s`, appears (length ≥ 3) in this name,
     /// case-insensitively.
-    pub fn head_matches(&self, name: &str, concept: &str) -> bool {
-        let head_start = concept.rfind(' ').map(|i| i + 1).unwrap_or(0);
-        let head = &concept[head_start..];
+    pub fn head_matches(&self, concept: &Interned<'_>) -> bool {
+        let head_start = concept.name.rfind(' ').map(|i| i + 1).unwrap_or(0);
+        let head = &concept.name[head_start..];
         // Strip the suffix on the *original* spelling — a trailing
         // uppercase `S` is deliberately not stripped by the reference
         // implementation — then reuse the cached lowercase bytes, which
@@ -101,9 +140,8 @@ impl SimilarityCache {
         if head.len() < 3 {
             return false;
         }
-        let concept_entry = self.entry(concept);
-        let head_lower = &concept_entry.lower()[head_start..head_start + head.len()];
-        self.entry(name).lower().contains(head_lower)
+        let head_lower = &concept.set.lower()[head_start..head_start + head.len()];
+        self.set.lower().contains(head_lower)
     }
 }
 
@@ -180,9 +218,10 @@ mod tests {
         let cache = SimilarityCache::new();
         for a in CORPUS {
             for b in CORPUS {
-                assert_eq!(cache.contains_name(a, b), direct_contains(a, b), "contains({a:?}, {b:?})");
+                let (name, concept) = (cache.resolve(a), cache.resolve(b));
+                assert_eq!(name.contains(&concept), direct_contains(a, b), "contains({a:?}, {b:?})");
                 assert_eq!(
-                    cache.head_matches(a, b),
+                    name.head_matches(&concept),
                     direct_head_matches(a, b),
                     "head_matches({a:?}, {b:?})"
                 );
@@ -206,9 +245,10 @@ mod tests {
         // The reference strips only a lowercase `s`; "CARS" keeps it
         // and must therefore not head-match "three car garage".
         let cache = SimilarityCache::new();
-        assert!(!cache.head_matches("three car garage", "CARS"));
-        assert!(cache.head_matches("three cars here", "CARS"));
-        assert!(cache.head_matches("Compact Pencil X137", "Pencils"));
+        let head_matches = |name, concept| cache.resolve(name).head_matches(&cache.resolve(concept));
+        assert!(!head_matches("three car garage", "CARS"));
+        assert!(head_matches("three cars here", "CARS"));
+        assert!(head_matches("Compact Pencil X137", "Pencils"));
     }
 
     #[test]

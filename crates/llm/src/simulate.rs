@@ -7,6 +7,7 @@ use crate::respond::{render, Verdict};
 use crate::similarity;
 use std::sync::Mutex;
 use taxoglimpse_core::model::{LanguageModel, ModelError, Query, Response};
+use taxoglimpse_core::prompts::PromptSetting;
 use taxoglimpse_core::question::{Question, QuestionBody};
 use taxoglimpse_core::text::token_count;
 use taxoglimpse_synth::rng::{hash_str, mix64, StreamHasher};
@@ -98,10 +99,7 @@ impl SimulatedLlm {
     }
 
     fn verdict(&self, query: &Query<'_>) -> Verdict {
-        // Condition on what the model actually sees: the number of
-        // answered exemplars in the prompt (few-shot saturation).
-        let shots = query.prompt.matches("Example: ").count();
-        self.verdict_with_shots(query, shots)
+        self.verdict_with_shots(query, count_shots(query.setting, query.prompt))
     }
 
     /// [`Self::verdict`] with the exemplar count already known — the
@@ -131,20 +129,7 @@ impl SimulatedLlm {
                 } else {
                     // Wrong answers gravitate to the most surface-similar
                     // distractor, like a confused human.
-                    similarity::with_cache(|cache| {
-                        let mut best = (0u8, f64::NEG_INFINITY);
-                        for (i, option) in options.iter().enumerate() {
-                            if i as u8 == *gold {
-                                continue;
-                            }
-                            let sim = cache.similarity(&question.child, option)
-                                + 0.05 * Self::draw_from(base, 2 + i as u64);
-                            if sim > best.1 {
-                                best = (i as u8, sim);
-                            }
-                        }
-                        Verdict::Option(best.0)
-                    })
+                    Self::wrong_pick(question, options, Some(*gold), base)
                 }
             }
             QuestionBody::Sibling { options, correct: gold } => match gold {
@@ -156,20 +141,7 @@ impl SimulatedLlm {
                         // move left is abstaining.
                         Verdict::IDontKnow
                     } else {
-                        similarity::with_cache(|cache| {
-                            let mut best = (0u8, f64::NEG_INFINITY);
-                            for (i, option) in options.iter().enumerate() {
-                                if i as u8 == *gold {
-                                    continue;
-                                }
-                                let sim = cache.similarity(&question.child, option)
-                                    + 0.05 * Self::draw_from(base, 2 + i as u64);
-                                if sim > best.1 {
-                                    best = (i as u8, sim);
-                                }
-                            }
-                            Verdict::Option(best.0)
-                        })
+                        Self::wrong_pick(question, options, Some(*gold), base)
                     }
                 }
                 // Gold child not among the shown options: the correct
@@ -181,21 +153,46 @@ impl SimulatedLlm {
                     if correct {
                         Verdict::IDontKnow
                     } else {
-                        similarity::with_cache(|cache| {
-                            let mut best = (0u8, f64::NEG_INFINITY);
-                            for (i, option) in options.iter().enumerate() {
-                                let sim = cache.similarity(&question.child, option)
-                                    + 0.05 * Self::draw_from(base, 2 + i as u64);
-                                if sim > best.1 {
-                                    best = (i as u8, sim);
-                                }
-                            }
-                            Verdict::Option(best.0)
-                        })
+                        Self::wrong_pick(question, options, None, base)
                     }
                 }
             },
         }
+    }
+
+    /// The option (other than `gold`) with the highest child similarity
+    /// plus a small per-option draw; the child and each option are
+    /// resolved against the interner once.
+    fn wrong_pick(question: &Question, options: &[String], gold: Option<u8>, base: u64) -> Verdict {
+        similarity::with_cache(|cache| {
+            let child = cache.resolve(&question.child);
+            let mut best = (0u8, f64::NEG_INFINITY);
+            for (i, option) in options.iter().enumerate() {
+                if Some(i as u8) == gold {
+                    continue;
+                }
+                let sim = child.similarity(&cache.resolve(option))
+                    + 0.05 * Self::draw_from(base, 2 + i as u64);
+                if sim > best.1 {
+                    best = (i as u8, sim);
+                }
+            }
+            Verdict::Option(best.0)
+        })
+    }
+}
+
+/// The marker opening each answered exemplar of a few-shot prompt.
+const EXEMPLAR: &str = "Example: ";
+
+/// The number of answered exemplars the model sees in `prompt` —
+/// conditioning on it gives few-shot saturation. Only the few-shot
+/// decision reads it, so other settings skip the scan.
+fn count_shots(setting: PromptSetting, prompt: &str) -> usize {
+    if setting == PromptSetting::FewShot {
+        prompt.matches(EXEMPLAR).count()
+    } else {
+        0
     }
 }
 
@@ -249,11 +246,11 @@ impl LanguageModel for SimulatedLlm {
 
     fn answer(&self, query: &Query<'_>) -> Result<Response, ModelError> {
         let verdict = self.verdict(query);
-        let noise = hash_str(self.seed ^ 0xF00D, &query.prompt);
+        let noise = hash_str(self.seed ^ 0xF00D, query.prompt);
         let text = render(self.id, query.question, verdict, query.setting, noise);
         let mut usage = self.usage.lock().expect("usage lock not poisoned");
         usage.queries += 1;
-        usage.prompt_tokens += token_count(&query.prompt) as u64;
+        usage.prompt_tokens += token_count(query.prompt) as u64;
         usage.completion_tokens += token_count(&text) as u64;
         Ok(Response::new(text))
     }
@@ -270,7 +267,12 @@ impl LanguageModel for SimulatedLlm {
             noise.write_str(prefix);
             BatchPrefix {
                 len: prefix.len(),
-                shots: prefix.matches("Example: ").count(),
+                // Only few-shot decisions read the count (`count_shots`).
+                shots: if queries.iter().any(|q| q.setting == PromptSetting::FewShot) {
+                    prefix.matches(EXEMPLAR).count()
+                } else {
+                    0
+                },
                 prompt_tokens: token_count(prefix) as u64,
                 noise,
             }
@@ -285,13 +287,13 @@ impl LanguageModel for SimulatedLlm {
                         let mut h = p.noise.clone();
                         h.write_str(suffix);
                         (
-                            p.shots + suffix.matches("Example: ").count(),
+                            p.shots + count_shots(query.setting, suffix),
                             h.finish(),
                             p.prompt_tokens + token_count(suffix) as u64,
                         )
                     }
                     None => (
-                        query.prompt.matches("Example: ").count(),
+                        count_shots(query.setting, query.prompt),
                         hash_str(self.seed ^ 0xF00D, query.prompt),
                         token_count(query.prompt) as u64,
                     ),
@@ -322,7 +324,6 @@ mod tests {
     use taxoglimpse_core::dataset::{DatasetBuilder, QuestionDataset};
     use taxoglimpse_core::domain::TaxonomyKind;
     use taxoglimpse_core::eval::{EvalConfig, Evaluator};
-    use taxoglimpse_core::prompts::PromptSetting;
     use taxoglimpse_synth::{generate, GenOptions};
 
     #[test]
@@ -388,37 +389,37 @@ mod tests {
         use taxoglimpse_core::model::Query;
         use taxoglimpse_core::prompts::{render_prefix, render_prompt_into};
         let t = generate(TaxonomyKind::Ebay, GenOptions { seed: 9, scale: 0.3 }).unwrap();
-        let d = DatasetBuilder::new(&t, TaxonomyKind::Ebay, 9)
-            .sample_cap(Some(30))
-            .build(QuestionDataset::Hard)
-            .unwrap();
+        let builder = DatasetBuilder::new(&t, TaxonomyKind::Ebay, 9).sample_cap(Some(30));
         let batched = SimulatedLlm::new(ModelId::Gpt4);
         let sequential = SimulatedLlm::new(ModelId::Gpt4);
-        for setting in [PromptSetting::ZeroShot, PromptSetting::FewShot] {
-            for slice in &d.levels {
-                let prefix = render_prefix(
-                    setting,
-                    Default::default(),
-                    &slice.exemplars,
-                    PromptSetting::SHOTS,
-                );
-                let prompts: Vec<String> = slice
-                    .questions
-                    .iter()
-                    .map(|q| {
-                        let mut s = String::new();
-                        render_prompt_into(q, setting, Default::default(), &prefix, &mut s);
-                        s
-                    })
-                    .collect();
-                let queries: Vec<Query<'_>> = prompts
-                    .iter()
-                    .zip(&slice.questions)
-                    .map(|(p, q)| Query::new(p, q, setting).with_prefix_len(prefix.len()))
-                    .collect();
-                let batch = batched.answer_batch(&queries);
-                let singles: Vec<_> = queries.iter().map(|q| sequential.answer(q)).collect();
-                assert_eq!(batch, singles, "{setting:?}: batched path diverged");
+        for flavor in [QuestionDataset::Hard, QuestionDataset::Mcq] {
+            let d = builder.build(flavor).unwrap();
+            for setting in PromptSetting::ALL {
+                for slice in &d.levels {
+                    let prefix = render_prefix(
+                        setting,
+                        Default::default(),
+                        &slice.exemplars,
+                        PromptSetting::SHOTS,
+                    );
+                    let prompts: Vec<String> = slice
+                        .questions
+                        .iter()
+                        .map(|q| {
+                            let mut s = String::new();
+                            render_prompt_into(q, setting, Default::default(), &prefix, &mut s);
+                            s
+                        })
+                        .collect();
+                    let queries: Vec<Query<'_>> = prompts
+                        .iter()
+                        .zip(&slice.questions)
+                        .map(|(p, q)| Query::new(p, q, setting).with_prefix_len(prefix.len()))
+                        .collect();
+                    let batch = batched.answer_batch(&queries);
+                    let singles: Vec<_> = queries.iter().map(|q| sequential.answer(q)).collect();
+                    assert_eq!(batch, singles, "{flavor:?} {setting:?}: batched path diverged");
+                }
             }
         }
         assert_eq!(batched.usage(), sequential.usage(), "usage accounting diverged");

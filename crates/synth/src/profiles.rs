@@ -48,48 +48,85 @@ pub struct TaxonomyProfile {
     pub popularity_hits: f64,
 }
 
+/// One row of Table 1.
+struct Row {
+    nodes_per_level: &'static [usize],
+    regime: NameRegime,
+    popularity_hits: f64,
+}
+
+/// Table 1, read by [`TaxonomyProfile::of`] and by the allocation-free
+/// per-kind accessors the simulated models call once per question.
+const fn table_1(kind: TaxonomyKind) -> &'static Row {
+    use NameRegime as R;
+    match kind {
+        TaxonomyKind::Ebay => {
+            &Row { nodes_per_level: &[13, 110, 472], regime: R::Shopping, popularity_hits: 2.0e8 }
+        }
+        TaxonomyKind::Amazon => &Row {
+            nodes_per_level: &[41, 507, 3910, 13579, 25777],
+            regime: R::Shopping,
+            popularity_hits: 9.0e7,
+        },
+        TaxonomyKind::Google => &Row {
+            nodes_per_level: &[21, 192, 1349, 2203, 1830],
+            regime: R::Shopping,
+            popularity_hits: 6.0e7,
+        },
+        TaxonomyKind::Schema => &Row {
+            nodes_per_level: &[3, 17, 215, 403, 436, 272],
+            regime: R::SchemaOrg,
+            popularity_hits: 1.1e8,
+        },
+        TaxonomyKind::AcmCcs => &Row {
+            nodes_per_level: &[13, 84, 543, 1087, 386],
+            regime: R::AcmCcs,
+            popularity_hits: 8.0e6,
+        },
+        TaxonomyKind::GeoNames => {
+            &Row { nodes_per_level: &[9, 680], regime: R::GeoNames, popularity_hits: 3.0e6 }
+        }
+        TaxonomyKind::Glottolog => &Row {
+            nodes_per_level: &[245, 712, 1048, 1205, 1366, 7393],
+            regime: R::Glottolog,
+            popularity_hits: 9.0e5,
+        },
+        TaxonomyKind::Icd10Cm => {
+            &Row { nodes_per_level: &[22, 155, 963, 3383], regime: R::Icd, popularity_hits: 2.5e6 }
+        }
+        TaxonomyKind::Oae => &Row {
+            nodes_per_level: &[181, 1854, 3817, 2587, 1108],
+            regime: R::Oae,
+            popularity_hits: 4.0e5,
+        },
+        TaxonomyKind::Ncbi => &Row {
+            nodes_per_level: &[53, 309, 514, 1859, 10215, 107615, 2069560],
+            regime: R::Ncbi,
+            popularity_hits: 1.5e5,
+        },
+    }
+}
+
 impl TaxonomyProfile {
     /// The canonical profile for `kind`, straight from Table 1.
     pub fn of(kind: TaxonomyKind) -> Self {
-        let (nodes_per_level, regime, popularity_hits): (Vec<usize>, _, f64) = match kind {
-            TaxonomyKind::Ebay => {
-                (vec![13, 110, 472], NameRegime::Shopping, 2.0e8)
-            }
-            TaxonomyKind::Amazon => (
-                vec![41, 507, 3910, 13579, 25777],
-                NameRegime::Shopping,
-                9.0e7,
-            ),
-            TaxonomyKind::Google => {
-                (vec![21, 192, 1349, 2203, 1830], NameRegime::Shopping, 6.0e7)
-            }
-            TaxonomyKind::Schema => (
-                vec![3, 17, 215, 403, 436, 272],
-                NameRegime::SchemaOrg,
-                1.1e8,
-            ),
-            TaxonomyKind::AcmCcs => {
-                (vec![13, 84, 543, 1087, 386], NameRegime::AcmCcs, 8.0e6)
-            }
-            TaxonomyKind::GeoNames => (vec![9, 680], NameRegime::GeoNames, 3.0e6),
-            TaxonomyKind::Glottolog => (
-                vec![245, 712, 1048, 1205, 1366, 7393],
-                NameRegime::Glottolog,
-                9.0e5,
-            ),
-            TaxonomyKind::Icd10Cm => {
-                (vec![22, 155, 963, 3383], NameRegime::Icd, 2.5e6)
-            }
-            TaxonomyKind::Oae => {
-                (vec![181, 1854, 3817, 2587, 1108], NameRegime::Oae, 4.0e5)
-            }
-            TaxonomyKind::Ncbi => (
-                vec![53, 309, 514, 1859, 10215, 107615, 2069560],
-                NameRegime::Ncbi,
-                1.5e5,
-            ),
-        };
-        TaxonomyProfile { kind, nodes_per_level, regime, popularity_hits }
+        let row = table_1(kind);
+        TaxonomyProfile {
+            kind,
+            nodes_per_level: row.nodes_per_level.to_vec(),
+            regime: row.regime,
+            popularity_hits: row.popularity_hits,
+        }
+    }
+
+    /// Number of levels of `kind`, without building a profile.
+    pub fn num_levels_of(kind: TaxonomyKind) -> usize {
+        table_1(kind).nodes_per_level.len()
+    }
+
+    /// Name regime of `kind`, without building a profile.
+    pub fn regime_of(kind: TaxonomyKind) -> NameRegime {
+        table_1(kind).regime
     }
 
     /// Total entity count (the Table-1 `# of entities` column).
@@ -174,6 +211,15 @@ mod tests {
             let p = TaxonomyProfile::of(kind);
             assert_eq!(p.num_levels(), levels, "{kind} levels");
             assert_eq!(p.num_trees(), trees, "{kind} trees");
+        }
+    }
+
+    #[test]
+    fn per_kind_accessors_read_the_same_row() {
+        for kind in TaxonomyKind::ALL {
+            let p = TaxonomyProfile::of(kind);
+            assert_eq!(TaxonomyProfile::num_levels_of(kind), p.num_levels(), "{kind}");
+            assert_eq!(TaxonomyProfile::regime_of(kind), p.regime, "{kind}");
         }
     }
 

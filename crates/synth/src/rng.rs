@@ -216,16 +216,21 @@ pub fn fork(seed: u64, tag: &str, index: u64) -> SynthRng {
 
 /// Stable 64-bit hash of a string mixed with a seed. Used to make
 /// per-question decisions deterministic in downstream crates as well.
+///
+/// The bytes are mixed in as little-endian 64-bit words; a final short
+/// chunk is zero-padded and mixed like a whole word.
 pub fn hash_str(seed: u64, s: &str) -> u64 {
-    let mut h = mix64(seed ^ 0x51_7c_c1_b7_27_22_0a_95);
-    for chunk in s.as_bytes().chunks(8) {
-        let mut word = 0u64;
-        for (i, &b) in chunk.iter().enumerate() {
-            word |= u64::from(b) << (8 * i);
-        }
-        h = mix64(h ^ word);
-    }
-    h
+    let mut h = StreamHasher::new(seed);
+    h.write_str(s);
+    h.finish()
+}
+
+/// Up to eight bytes as a little-endian word, zero-padded.
+#[inline]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
 }
 
 /// Incremental [`hash_str`]: feeds byte slices one at a time and
@@ -250,17 +255,31 @@ impl StreamHasher {
         StreamHasher { h: mix64(seed ^ 0x51_7c_c1_b7_27_22_0a_95), word: 0, shift: 0 }
     }
 
-    /// Feed raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.word |= u64::from(b) << self.shift;
-            self.shift += 8;
-            if self.shift == 64 {
-                self.h = mix64(self.h ^ self.word);
-                self.word = 0;
-                self.shift = 0;
+    /// Feed raw bytes: byte by byte until the buffered word is full,
+    /// then whole words, then the tail into the buffer.
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        if self.shift > 0 {
+            let take = bytes.len().min(((64 - self.shift) / 8) as usize);
+            let (head, rest) = bytes.split_at(take);
+            for &b in head {
+                self.word |= u64::from(b) << self.shift;
+                self.shift += 8;
             }
+            if self.shift < 64 {
+                return;
+            }
+            self.h = mix64(self.h ^ self.word);
+            self.word = 0;
+            self.shift = 0;
+            bytes = rest;
         }
+        let words = bytes.chunks_exact(8);
+        let tail = words.remainder();
+        for word in words {
+            self.h = mix64(self.h ^ le_word(word));
+        }
+        self.word = le_word(tail);
+        self.shift = 8 * tail.len() as u32;
     }
 
     /// Feed a string's bytes.
@@ -292,6 +311,19 @@ impl StreamHasher {
         } else {
             self.h
         }
+    }
+}
+
+/// A [`StreamHasher`] keys hash maps that are only probed, never
+/// iterated (the llm crate's name interner): `finish` peeks at the
+/// stream without consuming it.
+impl std::hash::Hasher for StreamHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        StreamHasher::write(self, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.clone().finish()
     }
 }
 
@@ -525,6 +557,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every split of every prefix (lengths 0..=40, so zero to five
+    /// whole words plus a tail) into up to three writes, landing on
+    /// every alignment of the buffered word.
+    #[test]
+    fn stream_hasher_matches_hash_str_for_three_part_splits() {
+        let text = "Wireless Speakers|Audio|Verbascum chaixii|4294967297";
+        for len in 0..=40 {
+            let s = &text[..len];
+            let b = s.as_bytes();
+            let whole = hash_str(0x5EED, s);
+            for i in 0..=len {
+                for j in i..=len {
+                    let mut h = StreamHasher::new(0x5EED);
+                    h.write(&b[..i]);
+                    h.write(&b[i..j]);
+                    h.write(&b[j..]);
+                    assert_eq!(h.finish(), whole, "{s:?} split at {i}, {j}");
+                }
+            }
+        }
+    }
+
+    /// Values of the byte-at-a-time `hash_str` this word-at-a-time
+    /// version replaced: a slip in the word path fails here, naming the
+    /// length, before any report digest moves.
+    #[test]
+    fn hash_str_golden_values() {
+        let text = "Verbascum chaixii|Hakka-Chinese|42";
+        let golden = [
+            (0, 0x9647_e335_c22a_63e4),
+            (7, 0x5f30_0ee0_9304_e28c),
+            (8, 0xf472_be96_5eab_0322),
+            (9, 0xe835_c8f1_199a_da01),
+            (16, 0xc823_6278_e049_dfa8),
+            (17, 0x3353_057e_2f4d_0788),
+        ];
+        for (len, value) in golden {
+            assert_eq!(hash_str(0x5EED, &text[..len]), value, "length {len}");
+        }
+    }
+
+    #[test]
+    fn hasher_impl_finish_does_not_consume_the_stream() {
+        use std::hash::Hasher;
+        let mut h = StreamHasher::new(3);
+        Hasher::write(&mut h, b"partial");
+        assert_eq!(Hasher::finish(&h), hash_str(3, "partial"));
+        Hasher::write(&mut h, b" name");
+        assert_eq!(Hasher::finish(&h), hash_str(3, "partial name"));
     }
 
     #[test]

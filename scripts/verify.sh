@@ -221,11 +221,14 @@ cargo run --release --offline -q -p taxoglimpse-bench --bin bench_hier -- \
 rm -rf "$SMOKE_OUT" "$SMOKE_CACHE"
 
 # 11. End-to-end benchmark: the perfbench package's own tests (shim
-#     identity, check plumbing), then a short hier_descent run. A run
-#     prints `"correct": true` only if every pass reproduced the pinned
-#     seed-42 report digest and the constrained descent emitted zero
-#     invalid labels; the exact match below is the gate.
-echo "==> perfbench tests + hier_descent pinned-digest run"
+#     identity, check plumbing), then a short hier_descent run and one
+#     paper_tables pass. A run prints `"correct": true` only if every
+#     pass reproduced the pinned seed-42 report digest (and, for
+#     hier_descent, the constrained descent emitted zero invalid
+#     labels); the exact match below is the gate. paper_tables is the
+#     only pinned digest over the full-scale simulated-model path (all
+#     18 models, 881,730 queries).
+echo "==> perfbench tests + hier_descent and paper_tables pinned-digest runs"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 BENCH_OUT="$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload hier_descent --seed 42 --seconds 3 2>/dev/null | tail -n 1)" || true
@@ -233,6 +236,15 @@ case "$BENCH_OUT" in
     '{"correct": true,'*) ;;
     *)
         echo "error: hier_descent benchmark run failed its checks: $BENCH_OUT" >&2
+        exit 1
+        ;;
+esac
+BENCH_OUT="$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload paper_tables --seed 42 --seconds 1 2>/dev/null | tail -n 1)" || true
+case "$BENCH_OUT" in
+    '{"correct": true,'*) ;;
+    *)
+        echo "error: paper_tables benchmark run failed its checks: $BENCH_OUT" >&2
         exit 1
         ;;
 esac
